@@ -56,7 +56,7 @@ def emit(obj, json_mode: bool, lines) -> None:
 
 def load_matrix(spec_text: str) -> list[list[int]]:
     """Inline JSON array-of-arrays, or a path to a JSON file.  Entries are
-    integers or 'p/q' strings."""
+    integers, or strings of integral rationals such as "4/2"."""
     text = spec_text.strip()
     if not text.startswith("["):
         path = Path(text)
@@ -70,11 +70,24 @@ def load_matrix(spec_text: str) -> list[list[int]]:
     if (not isinstance(raw, list)
             or not all(isinstance(row, list) for row in raw)):
         raise CliError("matrix must be a JSON array of arrays")
-    out = []
-    for row in raw:
-        out.append([int(x) if isinstance(x, int) else int(Fraction(str(x)))
-                    for x in row])
-    return out
+    return [[_matrix_entry(x, i, j) for j, x in enumerate(row, start=1)]
+            for i, row in enumerate(raw, start=1)]
+
+
+def _matrix_entry(x, i: int, j: int) -> int:
+    """An int, or a string naming an integral rational; anything else,
+    floats and booleans included, is refused."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            value = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is not None and value.denominator == 1:
+            return value.numerator
+    raise CliError(f"matrix entry {json.dumps(x)} at row {i}, column {j} "
+                   "is not an integer")
 
 
 def load_presentation(path_text: str) -> Presentation:

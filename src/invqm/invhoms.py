@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from . import linalg
-from .linalg import kernel_basis, left_kernel_basis_int, rref, solve_left_int
-from .magnus import (InvariantHom, WedgeVec, abelianize, quadratic_class,
-                     wedge_basis_vector)
+from .linalg import invariant_factors, kernel_basis, pair_index, rref
+from .magnus import InvariantHom, WedgeVec, abelianize, quadratic_class
 from .words import FreeWord, Presentation
 
 
@@ -53,41 +52,33 @@ class InvHomSpace:
     basis: tuple[InvariantHom, ...]
 
 
-def _reduce_rows(rank: int, vectors: list[WedgeVec]) -> tuple[WedgeVec, ...]:
-    """Independent spanning subset in reduced row-echelon form, entries
-    scaled integral with content 1."""
-    rows = [list(v.coeffs) for v in vectors if not v.is_zero()]
-    if not rows:
-        return ()
-    R, pivots = rref(rows)
-    out = []
-    for r in range(len(pivots)):
-        ints = linalg.clear_denominators([Fraction(x) for x in R[r]])
-        out.append(WedgeVec(rank, tuple(Fraction(x) for x in ints)))
-    return tuple(out)
-
-
 def constraint_space(P: Presentation) -> ConstraintSpace:
+    """W as integer rows over the pair basis, reduced to the rows of its
+    RREF (content 1).  Quadratic classes enter doubled, which makes them
+    integral, and the relator combinations are taken over Q: the left kernel
+    of the relator matrix spans the same space over Q as over Z."""
     n = P.rank
-    vectors: list[WedgeVec] = []
-    for r in P.relators:
-        mu = abelianize(r)
-        for j in range(1, n + 1):
-            v = WedgeVec.zero(n)
-            for i in range(1, n + 1):
-                if mu[i - 1] != 0:
-                    v = v + mu[i - 1] * wedge_basis_vector(n, j, i)
-            vectors.append(v)
+    idx = pair_index(n)
     R = [abelianize(r) for r in P.relators]
-    if R:
-        classes = [quadratic_class(r) for r in P.relators]
-        for c in left_kernel_basis_int(R):
-            v = WedgeVec.zero(n)
-            for ci, qi in zip(c, classes):
-                if ci != 0:
-                    v = v + ci * qi
-            vectors.append(v)
-    return ConstraintSpace(n, _reduce_rows(n, vectors))
+    rows = []
+    for mu in R:
+        for j in range(1, n + 1):
+            row = [0] * len(idx)
+            for i, x in enumerate(mu, start=1):
+                if x and i != j:  # x e_j ∧ e_i
+                    if j < i:
+                        row[idx[(j, i)]] = x
+                    else:
+                        row[idx[(i, j)]] = -x
+            rows.append(row)
+    doubled = [[int(2 * x) for x in quadratic_class(r).coeffs]
+               for r in P.relators]
+    for c in kernel_basis([list(col) for col in zip(*R)]):
+        rows.append([sum(ci * x for ci, x in zip(c, col))
+                     for col in zip(*doubled)])
+    W, _ = rref([row for row in rows if any(row)])
+    return ConstraintSpace(n, tuple(
+        WedgeVec(n, tuple(Fraction(x) for x in row)) for row in W))
 
 
 def inv_hom_dim(P: Presentation) -> int:
@@ -106,29 +97,40 @@ def inv_hom_basis(P: Presentation) -> InvHomSpace:
             Fraction(1) if k == t else Fraction(0) for k in range(npairs)))
             for t in range(npairs))
         return InvHomSpace(n, npairs, basis)
-    rows = [list(v.coeffs) for v in W.basis]
-    ker = kernel_basis(rows)
-    R, pivots = rref(ker) if ker else ([], [])
-    basis = []
-    for r in range(len(pivots)):
-        ints = linalg.clear_denominators([Fraction(x) for x in R[r]])
-        basis.append(InvariantHom(n, tuple(Fraction(x) for x in ints)))
-    return InvHomSpace(n, len(basis), tuple(basis))
+    R, _ = rref(kernel_basis([v.coeffs for v in W.basis]))
+    basis = tuple(InvariantHom(n, tuple(Fraction(x) for x in row))
+                  for row in R)
+    return InvHomSpace(n, len(basis), basis)
 
 
-def _commutator_lattice_coords(P: Presentation, w: FreeWord) -> list[int]:
-    """Integer coordinates c with sum_i c_i ab(r_i) = ab(w), certifying that
-    w represents an element of [G, G]."""
+def _commutator_lattice_coords(P: Presentation,
+                               w: FreeWord) -> list[Fraction]:
+    """Coordinates c with sum_i c_i ab(r_i) = ab(w), once w is certified to
+    represent an element of [G, G].
+
+    The certificate is integral: ab(w) lies in the Z-span of the ab(r_i)
+    exactly when appending it to the relator matrix changes neither the
+    rank nor the product of the invariant factors (the index of that span
+    in its saturation).  The coordinates themselves may be rational: two
+    solutions differ by a left-kernel vector, whose quadratic class lies in
+    the constraint space.
+    """
     mu = abelianize(w)
+    m = len(P.relators)
     if all(x == 0 for x in mu):
-        return [0] * len(P.relators)
+        return [Fraction(0)] * m
     if not P.relators:
         raise NotInCommutatorSubgroupError(
             "word has nonzero abelianization and there are no relators")
-    c = solve_left_int([abelianize(r) for r in P.relators], mu)
-    if c is None:
+    R = [abelianize(r) for r in P.relators]
+    before, after = invariant_factors(R), invariant_factors(R + [mu])
+    if len(after) != len(before) or prod(after) != prod(before):
         raise NotInCommutatorSubgroupError(
             "abelianization does not lie in the relator lattice")
+    rows, pivots = rref([list(col) + [x] for col, x in zip(zip(*R), mu)])
+    c = [Fraction(0)] * m
+    for row, p in zip(rows, pivots):
+        c[p] = Fraction(row[m], row[p])
     return c
 
 

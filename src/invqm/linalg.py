@@ -1,19 +1,20 @@
 """Exact rational and integer linear algebra.
 
-Matrices are dense, row-major lists of lists.  Rational entries are
-``fractions.Fraction``; integer matrices use plain ``int``.  Everything is
-exact: no floating point enters this module.
+Matrices are dense, row-major lists of lists of ``int`` or
+``fractions.Fraction``.  Rank, RREF, kernels and determinants all come from
+one fraction-free (Bareiss) echelon routine over ``int``; rational input
+rows are first scaled to integers.  Invariant factors come from a
+diagonal reduction without transforms.  Everything is exact: no floating
+point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
-MatQ = list[list[Fraction]]
 MatZ = list[list[int]]
-VecQ = list[Fraction]
 VecZ = list[int]
 
 
@@ -41,104 +42,110 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def to_fractions(A: Sequence[Sequence]) -> MatQ:
-    return [[Fraction(x) for x in row] for row in A]
-
-
-def _integerize_rows(A: Sequence[Sequence[Fraction]]) -> MatZ:
-    """Scale each row by the lcm of denominators; preserves rank and kernel."""
+def _integerize_rows(A: Sequence[Sequence]) -> MatZ:
+    """Scale each row by the lcm of its denominators; preserves rank, row
+    space and kernel."""
     out = []
     for row in A:
+        # integer rows, the common case, skip the costly Fraction round trip
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         row = [Fraction(x) for x in row]
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
+        scale = lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
 
 
-def rank(M: Sequence[Sequence]) -> int:
-    """Rank via fraction-free (Bareiss) elimination on an integerized copy."""
-    A = _integerize_rows(M)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
+def _primitive(v: VecZ) -> VecZ:
+    """Divide by the content and make the leading nonzero entry positive."""
+    g = gcd(*v)
+    if next((x for x in v if x), 0) < 0:
+        g = -g
+    return [x // g for x in v]
 
 
-def rref(M: Sequence[Sequence]) -> tuple[MatQ, list[int]]:
-    """Reduced row echelon form over Q; returns (R, pivot_columns)."""
-    A = to_fractions(M)
+def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int], int]:
+    """Fraction-free forward elimination (Bareiss 1968) of an integerized
+    copy of A.
+
+    Returns the nonzero echelon rows, their pivot columns and the sign of
+    the row permutation.  Every entry stays an integer minor of the
+    integerized, row-permuted input; the pivot of echelon row k is the
+    leading (k+1)-minor on the pivot columns, so the last pivot is the
+    determinant of the full pivot minor.
+    """
+    A = _integerize_rows(A)
     m = len(A)
     n = len(A[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    sign = 1
+    prev = 1
     for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if A[i][c] != 0), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        top = A[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            a = A[i][c]
+            A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return A, pivots
+    return A[:len(pivots)], pivots, sign
 
 
-def clear_denominators(v: VecQ) -> VecZ:
-    """Scale to integral entries with content 1 and positive leading entry."""
-    scale = 1
-    for x in v:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    w = [int(x * scale) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
-    if g > 1:
-        w = [x // g for x in w]
-    lead = next((x for x in w if x != 0), 0)
-    if lead < 0:
-        w = [-x for x in w]
-    return w
+def rank(M: Sequence[Sequence]) -> int:
+    """Rank over Q: the number of Bareiss pivots."""
+    return len(echelon(M)[1])
+
+
+def rref(M: Sequence[Sequence]) -> tuple[MatZ, list[int]]:
+    """Reduced row echelon form over Q; returns (rows, pivot_columns).
+
+    Each row is the RREF row scaled to an integer row with content 1, so its
+    pivot is positive.  The echelon rows are back-substituted without
+    fractions: with d the last pivot, d times the RREF is integral, and
+    row k of it is (d E_k - sum_{j>k} E_k[p_j] R_j) / E_k[p_k].
+    """
+    rows, pivots, _ = echelon(M)
+    if rows:
+        d = rows[-1][pivots[-1]]
+        for k in range(len(rows) - 2, -1, -1):
+            row = rows[k]
+            acc = [d * x for x in row]
+            for j in range(k + 1, len(rows)):
+                f = row[pivots[j]]
+                if f:
+                    acc = [a - f * y for a, y in zip(acc, rows[j])]
+            e = row[pivots[k]]
+            rows[k] = [a // e for a in acc]
+    return [_primitive(row) for row in rows], pivots
 
 
 def kernel_basis(M: Sequence[Sequence]) -> list[VecZ]:
-    """Basis of the right kernel of M over Q, as content-1 integer vectors.
+    """Basis of the right kernel of M over Q, as content-1 integer vectors
+    with positive leading entry.
 
     Free variables are taken in increasing column order, so the output is
     deterministic.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
+    n = len(M[0]) if M else 0
     R, pivots = rref(M)
-    free = [c for c in range(n) if c not in pivots]
+    scale = lcm(*(row[p] for row, p in zip(R, pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(clear_denominators(v))
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[fc] = scale
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_primitive(v))
     return basis
 
 
@@ -148,64 +155,29 @@ def kernel_dim(M: Sequence[Sequence]) -> int:
 
 
 def det(M: Sequence[Sequence]) -> Fraction:
-    A = to_fractions(M)
-    n = len(A)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            sign = -sign
-        result *= A[c][c]
-        inv = A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = A[i][c] / inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return sign * result
+    """Sign times the last Bareiss pivot, over the row-integerization
+    scales; exact on rational input."""
+    rows, pivots, sign = echelon(M)
+    if len(pivots) < len(M):
+        return Fraction(0)
+    scale = prod(lcm(*(Fraction(x).denominator for x in row)) for row in M)
+    return Fraction(sign * (rows[-1][pivots[-1]] if rows else 1), scale)
 
 
-# --- Smith normal form ------------------------------------------------------
-
-def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[MatZ, MatZ, MatZ]:
-    """Return unimodular (U, D, V) with U*A*V = D, D diagonal, d_i | d_{i+1},
-    d_i >= 0."""
+def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero diagonal entries of the Smith normal form, in order
+    (d_i > 0, d_i | d_{i+1}); no transforms are kept."""
     D = [list(map(int, row)) for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
-    U = identity(m)
-    V = identity(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row dst += q * row src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(m, n):
-        # find a nonzero pivot in the remaining block
+        # find a nonzero pivot of least size in the remaining block
         piv = None
         for i in range(t, m):
             for j in range(t, n):
@@ -214,84 +186,36 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[MatZ, MatZ, MatZ]:
                         piv = (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        D[t], D[piv[0]] = D[piv[0]], D[t]
         swap_cols(t, piv[1])
         while True:
-            # clear column t
+            # clear row and column t
             dirty = False
             for i in range(t + 1, m):
                 if D[i][t] != 0:
                     q = D[i][t] // D[t][t]
-                    add_row(t, i, -q)
+                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
                     if D[i][t] != 0:
-                        swap_rows(t, i)
+                        D[t], D[i] = D[i], D[t]
                         dirty = True
             for j in range(t + 1, n):
                 if D[t][j] != 0:
                     q = D[t][j] // D[t][t]
-                    add_col(t, j, -q)
+                    for row in D:
+                        row[j] -= q * row[t]
                     if D[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
             if not dirty:
                 break
         # make the pivot divide every remaining entry
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if D[t][t] < 0:
-                negate_row(t)
+        bad = next((i for i in range(t + 1, m)
+                    if any(D[i][j] % D[t][t] for j in range(t + 1, n))), None)
+        if bad is None:
             t += 1
-    return U, D, V
-
-
-def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    _, D, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))
-            if D[i][i] != 0]
-
-
-def left_kernel_basis_int(A: Sequence[Sequence[int]]) -> list[VecZ]:
-    """Basis of {c in Z^m : c^T A = 0}, from the unimodular row transform."""
-    U, D, _ = smith_normal_form(A)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    out = []
-    for i in range(m):
-        if i >= n or D[i][i] == 0:
-            out.append(list(U[i]))
-    return out
-
-
-def solve_left_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> VecZ | None:
-    """One integer solution c of c^T A = b, or None if there is none."""
-    U, D, V = smith_normal_form(A)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    # c^T A = b  <=>  (c^T U^-1) D = b V  with y^T = c^T U^-1
-    bv = [sum(b[j] * V[j][k] for j in range(n)) for k in range(n)]
-    y = [0] * m
-    for i in range(min(m, n)):
-        d = D[i][i]
-        if d == 0:
-            if bv[i] != 0:
-                return None
         else:
-            if bv[i] % d != 0:
-                return None
-            y[i] = bv[i] // d
-    for i in range(min(m, n), n):
-        if bv[i] != 0:
-            return None
-    return [sum(y[i] * U[i][j] for i in range(m)) for j in range(m)]
+            D[t] = [a + b for a, b in zip(D[t], D[bad])]
+    return [abs(D[i][i]) for i in range(t)]
 
 
 # --- exterior square --------------------------------------------------------

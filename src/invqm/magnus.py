@@ -85,21 +85,9 @@ class WedgeVec:
         c = Fraction(c)
         return WedgeVec(self.rank, tuple(c * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def pairs(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, c)
                 for (i, j), c in zip(pair_basis(self.rank), self.coeffs)]
-
-
-def wedge_basis_vector(rank: int, i: int, j: int) -> WedgeVec:
-    """e_i wedge e_j for any i != j (antisymmetric in (i, j))."""
-    if i == j:
-        return WedgeVec.zero(rank)
-    if i < j:
-        return WedgeVec.basis_element(rank, i, j)
-    return -1 * WedgeVec.basis_element(rank, j, i)
 
 
 def quadratic_class(w: FreeWord) -> WedgeVec:

@@ -11,7 +11,7 @@ from invqm.invhoms import (NotInCommutatorSubgroupError, constraint_space,
                            evaluate_on_quotient, inv_hom_basis, inv_hom_dim)
 from invqm.magnus import InvariantHom, WedgeVec, hom_eval
 from invqm.words import (FreeWord, Presentation, commutator, conjugate,
-                         generator, parse_presentation)
+                         generator, parse_presentation, parse_word)
 
 
 def surface_class(l):
@@ -132,6 +132,19 @@ class TestEvaluateOnQuotient:
         phi = inv_hom_basis(P).basis[0]
         with pytest.raises(NotInCommutatorSubgroupError):
             evaluate_on_quotient(phi, generator(4, 1), P)
+
+    def test_integer_not_rational_lattice_membership(self):
+        # ab(a b) = (1, 1, 0) is half of ab(a^2 b^2): in the Q-span of the
+        # relator abelianizations but not in their Z-span.  The relator
+        # matrix has no left kernel, so the coordinates of a^2 b^2 [a,c]
+        # are unique and the value on alpha_13 is that of [a,c].
+        P = parse_presentation("gens: a, b, c\n"
+                               "rel: a^2 b^2\nrel: [a,b] c^3\n")
+        phi = InvariantHom.alpha(3, 1, 3)
+        with pytest.raises(NotInCommutatorSubgroupError):
+            evaluate_on_quotient(phi, parse_word("a b", P.names), P)
+        w = parse_word("a^2 b^2 [a,c]", P.names)
+        assert evaluate_on_quotient(phi, w, P) == 1
 
     def test_circle_bundle_fiber_power_accepted(self):
         # the fiber^n class lies in the relator lattice even though its

@@ -1,12 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from invqm.linalg import (det, exterior_square, identity, invariant_factors,
-                          is_symplectic, kernel_basis, kernel_dim,
-                          left_kernel_basis_int, mat_mul, mat_vec, pair_basis,
-                          rank, smith_normal_form, solve_left_int)
+                          is_symplectic, kernel_basis, mat_mul, mat_vec,
+                          pair_basis, rank, rref)
 
 
 def rand_mat_q(rng, m, n, max_num=6, max_den=4):
@@ -72,49 +72,67 @@ class TestRankKernel:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        U, D, V = smith_normal_form(identity(3))
-        assert U == identity(3) and D == identity(3) and V == identity(3)
+        assert invariant_factors(identity(3)) == [1, 1, 1]
 
     def test_diag_4_6(self):
         # invariant factors are gcd(4,6)=2 and (4*6)/2=12
         assert invariant_factors([[4, 0], [0, 6]]) == [2, 12]
 
-    def test_random_certified(self, rng):
-        for _ in range(50):
-            A = rand_mat_z(rng, 4, 5)
-            U, D, V = smith_normal_form(A)
-            assert mat_mul(mat_mul(U, A), V) == D
-            assert abs(det(U)) == 1 and abs(det(V)) == 1
-            diag = [D[i][i] for i in range(4)]
-            assert all(d >= 0 for d in diag)
-            nonzero = [d for d in diag if d]
-            assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-            for i in range(4):
-                for j in range(5):
-                    if i != j:
-                        assert D[i][j] == 0
 
-    def test_left_kernel(self, rng):
-        for _ in range(20):
-            A = rand_mat_z(rng, 5, 3)
-            basis = left_kernel_basis_int(A)
-            for c in basis:
-                assert all(sum(c[i] * A[i][j] for i in range(5)) == 0
-                           for j in range(3))
-            assert len(basis) == 5 - rank(A)
+def rand_mat_deficient(rng, rational):
+    """Random m x n matrix of rank at most a random k <= min(m, n),
+    often rank-deficient, with up to two zero rows inserted."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    k = rng.randint(0, min(m, n))
+    make = ((lambda a, b: rand_mat_q(rng, a, b, max_num=3, max_den=3))
+            if rational else (lambda a, b: rand_mat_z(rng, a, b, bound=3)))
+    A = mat_mul(make(m, k), make(k, n)) if k else [[0] * n for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        A.insert(rng.randint(0, len(A)), [0] * n)
+    return A
 
-    def test_solve_left(self, rng):
-        for _ in range(20):
-            A = rand_mat_z(rng, 4, 3)
-            c0 = [rng.randint(-3, 3) for _ in range(4)]
-            b = [sum(c0[i] * A[i][j] for i in range(4)) for j in range(3)]
-            c = solve_left_int(A, b)
-            assert c is not None
-            assert [sum(c[i] * A[i][j] for i in range(4))
-                    for j in range(3)] == b
 
-    def test_solve_left_no_solution(self):
-        assert solve_left_int([[2, 0]], [1, 0]) is None
+def primitive(row):
+    """Integer multiple of a rational row with content 1, positive leading
+    entry."""
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestSympyOracle:
+    def test_invariant_factors(self, rng, sympy):
+        from sympy.matrices.normalforms import invariant_factors as oracle
+        for _ in range(200):
+            A = rand_mat_deficient(rng, rational=False)
+            expected = [abs(int(d)) for d in
+                        oracle(sympy.Matrix(A), domain=sympy.ZZ) if d != 0]
+            assert invariant_factors(A) == expected
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_rank_det_rref(self, rng, sympy, rational):
+        for _ in range(200):
+            A = rand_mat_deficient(rng, rational)
+            M = sympy.Matrix(A)
+            assert rank(A) == M.rank()
+            R, pivots = M.rref()
+            rows = [[Fraction(int(x.p), int(x.q)) for x in R.row(i)]
+                    for i in range(len(pivots))]
+            assert rref(A) == ([primitive(row) for row in rows],
+                               list(pivots))
+            S = [row[:len(A)] + [Fraction(rng.randint(-3, 3), 2)
+                                 for _ in range(len(A) - len(row))]
+                 for row in A]
+            d = sympy.Matrix(S).det()
+            assert det(S) == Fraction(int(d.p), int(d.q))
 
 
 class TestExteriorSquare:

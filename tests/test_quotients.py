@@ -5,7 +5,8 @@ from invqm.linalg import identity, kernel_dim, mat_mul, mat_sub
 from invqm.quotients import (AbelianQuotient, abelian_quotient, free_quotient,
                              h1_dim, h2_dim, h2_dim_semidirect,
                              h2_dim_total_space, surface_quotient)
-from test_acceptance_helpers import random_symplectic, random_unimodular
+from test_acceptance_helpers import (integer_inverse, random_symplectic,
+                                     random_unimodular)
 
 
 class TestAbelianQuotient:
@@ -78,7 +79,7 @@ class TestSemidirect:
         for _ in range(10):
             A = random_symplectic(rng, 2)
             P = random_unimodular(rng, 4)
-            Pinv = _integer_inverse(P)
+            Pinv = integer_inverse(P)
             B = mat_mul(mat_mul(P, A), Pinv)
             qa = free_quotient(4, A)
             qb = free_quotient(4, B)
@@ -91,16 +92,3 @@ class TestSemidirect:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             free_quotient(2, [[2, 0], [0, 1]])
-
-
-def _integer_inverse(P):
-    from fractions import Fraction
-
-    from invqm.linalg import rref
-    n = len(P)
-    aug = [[Fraction(P[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(aug)
-    assert pivots == list(range(n))
-    return [[int(R[i][n + j]) for j in range(n)] for i in range(n)]
