@@ -16,8 +16,8 @@ from .quotients import (AbelianQuotient, SemidirectQuotient, abelian_quotient,
 from .transgression import (Transgressor, antisym_pairing, cup_class_matrix,
                             lift_F, standard_section, transgress)
 from .words import (FreeWord, Presentation, commutator, conjugate, generator,
-                    invert, is_in_commutator_subgroup, multiply,
-                    parse_presentation, parse_word, power, render, word)
+                    is_in_commutator_subgroup, parse_presentation, parse_word,
+                    power, render, word)
 
 __version__ = "0.1.0"
 

@@ -140,6 +140,9 @@ def split_names(text: str) -> list[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
     if not names:
         raise CliError("empty generator list")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CliError(f"generator name {name!r} given twice")
     return names
 
 
@@ -192,21 +195,32 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# the options each preset reads, and the engine.preset keyword each fills
+PRESET_OPTIONS = {
+    "free": {"rank": "n"},
+    "surface": {"genus": "l"},
+    "torelli_torus": {"genus": "l"},
+    "free_torus": {"matrix": "A"},
+    "one_relator_power": {"rank": "n", "power": "k"},
+    "remark_group": {"count": "k"},
+    "circle_bundle": {"genus": "l", "euler": "k"},
+}
+
+
 def cmd_preset(args) -> int:
+    used = PRESET_OPTIONS[args.name]
     kwargs = {}
-    if args.rank is not None:
-        kwargs["n"] = args.rank
-    if args.genus is not None:
-        kwargs["l"] = args.genus
-    k = args.power if args.power is not None else (
-        args.count if args.count is not None else args.euler)
-    if k is not None:
-        kwargs["k"] = k
-    if args.matrix is not None:
-        kwargs["A"] = load_matrix(args.matrix)
+    for option in ("genus", "rank", "power", "count", "euler", "matrix"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option not in used:
+            raise CliError(f"preset {args.name} does not take --{option}")
+        kwargs[used[option]] = (load_matrix(value) if option == "matrix"
+                                else value)
     try:
         report = engine.preset(args.name, **kwargs)
-    except PreconditionError as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     emit(report_json(report), args.json, report_lines(report))
     return 0
@@ -314,9 +328,18 @@ def cmd_transgress(args) -> int:
     return 0
 
 
+def _checked(fn, *args):
+    """Call a library function whose ValueError reports invalid input."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_qm(args) -> int:
     names = split_names(args.gens)
-    f = CountingQM(len(names), parse_terms(args.terms, names), args.mode)
+    f = _checked(CountingQM, len(names), parse_terms(args.terms, names),
+                 args.mode)
     if args.action == "eval":
         x = parse_letterwise(_require_word(args), names)
         value = qm_eval(f, x)
@@ -325,12 +348,12 @@ def cmd_qm(args) -> int:
         return 0
     if args.action == "homog":
         x = parse_letterwise(_require_word(args), names)
-        value = homogenize_eval(f, x, args.kmax)
+        value = homogenize_eval(f, x)
         emit({"schema_version": SCHEMA_VERSION, "value": rat_str(value)},
              args.json, [rat_str(value)])
         return 0
     if args.action == "defect":
-        cert = defect_lower_bound(f, args.maxlen)
+        cert = _checked(defect_lower_bound, f, args.maxlen)
         x, y = cert.witness
         obj = {"schema_version": SCHEMA_VERSION,
                "bound": rat_str(cert.bound), "kind": cert.kind,
@@ -343,15 +366,15 @@ def cmd_qm(args) -> int:
     if args.action == "bavard":
         x = parse_letterwise(_require_word(args), names)
         if args.defect_upper is None:
-            cert = defect_lower_bound(f, args.maxlen)
-            value = homogenize_eval(f, x, args.kmax)
+            cert = _checked(defect_lower_bound, f, args.maxlen)
+            value = homogenize_eval(f, x)
             bound = (abs(value) / (2 * cert.bound)
                      if cert.bound > 0 else Fraction(0))
             label = "indicative - not a certified bound"
         else:
             upper = DefectCertificate(parse_rational(args.defect_upper),
                                       "upper", provenance="user supplied")
-            bound = bavard_lower_bound(f, x, upper, args.kmax)
+            bound = _checked(bavard_lower_bound, f, x, upper)
             label = ("certified lower bound given the supplied defect "
                      "certificate")
         obj = {"schema_version": SCHEMA_VERSION, "bound": rat_str(bound),
@@ -435,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[BIG, LITTLE], default=BIG)
     p.add_argument("--word")
     p.add_argument("--maxlen", type=int, default=2)
-    p.add_argument("--kmax", type=int, default=32)
+    p.add_argument("--kmax", type=int,
+                   help="no effect: homogenization is exact; accepted so "
+                        "that older command lines still run")
     p.add_argument("--defect-upper")
     add_json(p)
     p.set_defaults(func=cmd_qm)

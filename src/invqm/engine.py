@@ -230,7 +230,7 @@ def preset(name: str, *, n: int | None = None, l: int | None = None,
     are justified for it (hyperbolicity asserted where the instance is known
     hyperbolic)."""
     if name == "free":
-        _require(n is not None, "free needs n")
+        _require(n is not None and n >= 0, "free needs n >= 0")
         return analyze_presentation(free_group(n))
     if name == "surface":
         _require(l is not None and l >= 2, "surface needs genus l >= 2")

@@ -1,28 +1,16 @@
 """Free-group words, reduction, commutator calculus, and the presentation DSL.
 
 A letter is stored as a nonzero signed integer: ``+i`` is the i-th generator
-(1-based), ``-i`` its inverse.  Words are kept freely reduced at all times;
-every constructor reduces eagerly.
+(1-based), ``-i`` its inverse.  Words are kept freely reduced at all times.
+The public constructor validates and reduces its input; products, inverses
+and powers of reduced words are built in time linear in their output
+(products cancel only at the junction, powers go through the cyclic core).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
-
-
-class Letter(NamedTuple):
-    """A single generator or inverse-generator occurrence."""
-
-    gen: int
-    sign: int
-
-    def signed(self) -> int:
-        return self.gen * self.sign
-
-    @staticmethod
-    def from_signed(x: int) -> "Letter":
-        return Letter(abs(x), 1 if x > 0 else -1)
+from typing import Iterable, Sequence
 
 
 class RankMismatchError(ValueError):
@@ -41,6 +29,17 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             stack.append(x)
     return tuple(stack)
+
+
+def _conjugator_length(letters: tuple[int, ...]) -> int:
+    """Largest t with letters = u c u^-1, |u| = t; for a reduced word the
+    middle part c is then cyclically reduced (and nonempty unless the word
+    is)."""
+    n = len(letters)
+    t = 0
+    while 2 * t + 1 < n and letters[t] == -letters[n - 1 - t]:
+        t += 1
+    return t
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,14 @@ class FreeWord:
                     f"letter {x} out of range for rank {self.rank}")
         object.__setattr__(self, "letters", _reduce(self.letters))
 
+    @classmethod
+    def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "FreeWord":
+        """Wrap letters already known to be in range and freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -75,21 +82,29 @@ class FreeWord:
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         self._check_rank(other)
-        return FreeWord(self.rank, self.letters + other.letters)
+        u, v = self.letters, other.letters
+        n = len(u)
+        m = min(n, len(v))
+        c = 0
+        while c < m and u[n - 1 - c] == -v[c]:
+            c += 1
+        return FreeWord._reduced(self.rank, u[:n - c] + v[c:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+        return FreeWord._reduced(self.rank,
+                                 tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)
-        out = FreeWord(self.rank)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def as_letters(self) -> list[Letter]:
-        return [Letter.from_signed(x) for x in self.letters]
+        if k == 0:
+            return FreeWord._reduced(self.rank, ())
+        letters = self.letters
+        n = len(letters)
+        t = _conjugator_length(letters)
+        # w = u c u^-1 with c cyclically reduced, so u c^k u^-1 is reduced
+        return FreeWord._reduced(
+            self.rank, letters[:t] + letters[t:n - t] * k + letters[n - t:])
 
 
 def word(rank: int, letters: Sequence[int]) -> FreeWord:
@@ -101,16 +116,14 @@ def generator(rank: int, i: int) -> FreeWord:
     return FreeWord(rank, (i,))
 
 
-def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    return u * v
-
-
-def invert(w: FreeWord) -> FreeWord:
-    return w.inverse()
-
-
 def power(w: FreeWord, k: int) -> FreeWord:
     return w ** k
+
+
+def cyclic_core(w: FreeWord) -> FreeWord:
+    """The cyclically reduced c with w = u c u^-1 (w reduced)."""
+    t = _conjugator_length(w.letters)
+    return FreeWord._reduced(w.rank, w.letters[t:len(w.letters) - t])
 
 
 def conjugate(g: FreeWord, w: FreeWord) -> FreeWord:

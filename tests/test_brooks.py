@@ -1,16 +1,77 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_word
 from invqm.brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
-                          HorizonExceededError, bavard_lower_bound,
-                          conjugation_invariance_check, defect_lower_bound,
+                          bavard_lower_bound, defect_lower_bound,
                           equivalence_report, homogenize_eval, qm_eval,
                           reduced_words_up_to)
 from invqm.words import FreeWord
 
 _NAMES = "ab"
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+# --- references without shortcuts -------------------------------------------
+
+def sampled_slope(f, x, k_max):
+    """Power sampling: the first difference of k |-> f(x^k) once the last
+    max(4, k_max // 4) differences up to k_max agree, else None.  Powers are
+    built by concatenation and full reduction."""
+    values = []
+    p = FreeWord(x.rank)
+    for _ in range(k_max + 1):
+        values.append(qm_eval(f, p))
+        p = FreeWord(x.rank, p.letters + x.letters)
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    tail = diffs[-max(4, k_max // 4):]
+    return tail[0] if all(d == tail[0] for d in tail) else None
+
+
+def conjugation_invariance_check(f, samples):
+    """For each (x, g), compare homogenized values of x and g x g^-1."""
+    report = []
+    for x, g in samples:
+        hx = homogenize_eval(f, x)
+        hc = homogenize_eval(f, g * x * g.inverse())
+        report.append({"x": x, "g": g, "value": hx, "conjugated": hc,
+                       "equal": hx == hc})
+    return report
+
+
+def enumerated_defect(f, max_len):
+    """max |f(xy) - f(x) - f(y)| with f evaluated on whole words, and the
+    first pair that attains it."""
+    words = list(reduced_words_up_to(f.rank, max_len))
+    best, witness = Fraction(0), (words[0], words[0])
+    for x in words:
+        for y in words:
+            xy = FreeWord(f.rank, x.letters + y.letters)
+            gap = abs(qm_eval(f, xy) - qm_eval(f, x) - qm_eval(f, y))
+            if gap > best:
+                best, witness = gap, (x, y)
+    return best, witness
+
+
+def reduced_letters(rank, max_size):
+    return st.lists(st.sampled_from([s * g for g in range(1, rank + 1)
+                                     for s in (1, -1)]),
+                    max_size=max_size).map(
+        lambda xs: FreeWord(rank, tuple(xs)).letters)
+
+
+@st.composite
+def counting_qms(draw, rank, max_pattern):
+    patterns = draw(st.lists(reduced_letters(rank, max_pattern).filter(bool),
+                             min_size=1, max_size=3, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    mode = draw(st.sampled_from([BIG, LITTLE]))
+    return CountingQM(rank, tuple((FreeWord(rank, p), draw(coeffs))
+                                  for p in patterns), mode)
 
 
 def W(text):
@@ -83,15 +144,27 @@ class TestHomogenization:
         assert homogenize_eval(f, FreeWord(2)) == 0
         assert homogenize_eval(f, W("ab")) == 1
 
-    def test_horizon_exceeded(self):
-        f = count_qm("ab")
-        with pytest.raises(HorizonExceededError):
-            # the pattern a^35 first appears near the end of the horizon, so
-            # the terminal window still sees the onset jump
-            g = CountingQM(2, ((W("a") ** 35, Fraction(1)),))
-            homogenize_eval(g, W("a"), k_max=36)
-        with pytest.raises(ValueError):
-            homogenize_eval(f, W("ab"), k_max=2)
+    def test_exact_past_sampling_horizon(self):
+        # a^35 first occurs in a^35, past any short sampling horizon; each
+        # further power of a adds one occurrence
+        g = CountingQM(2, ((W("a") ** 35, Fraction(1)),))
+        assert homogenize_eval(g, W("a")) == 1
+        assert sampled_slope(g, W("a"), 36) is None
+        # little mode: f(a^k) = floor(k/2) never has constant differences
+        h = CountingQM(2, ((W("aa"), Fraction(1)),), LITTLE)
+        assert homogenize_eval(h, W("a")) == Fraction(1, 2)
+        assert sampled_slope(h, W("a"), 64) is None
+        assert homogenize_eval(h, W("a") ** 5) == Fraction(5, 2)
+
+    @PROPERTY
+    @given(st.integers(2, 3).flatmap(
+        lambda r: st.tuples(counting_qms(r, 3), reduced_letters(r, 6))))
+    def test_closed_form_matches_sampling(self, case):
+        f, letters = case
+        x = FreeWord(f.rank, letters)
+        sampled = sampled_slope(f, x, 48)
+        assume(sampled is not None)
+        assert homogenize_eval(f, x) == sampled
 
 
 class TestDefect:
@@ -103,6 +176,8 @@ class TestDefect:
         x, y = cert.witness
         assert abs(qm_eval(f, x * y) - qm_eval(f, x) - qm_eval(f, y)) \
             == cert.bound
+        for mode in (BIG, LITTLE):
+            assert defect_lower_bound(CountingQM(2, (), mode), 2).bound == 0
 
     def test_monotone_in_length(self):
         f = count_qm("aab")
@@ -116,6 +191,14 @@ class TestDefect:
         # 1 + 4 + 4*3 reduced words of length <= 2
         assert len(words) == 17
         assert len(set(words)) == 17
+
+    @PROPERTY
+    @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]).flatmap(
+        lambda rl: st.tuples(counting_qms(rl[0], 3), st.just(rl[1]))))
+    def test_windowed_matches_enumeration(self, case):
+        f, max_len = case
+        cert = defect_lower_bound(f, max_len)
+        assert (cert.bound, cert.witness) == enumerated_defect(f, max_len)
 
 
 class TestBavard:

@@ -98,6 +98,28 @@ class TestTorus:
             err = capsys.readouterr().err
             assert f"entry {entry} at row 1, column 2" in err
 
+    def test_non_square_preset_matrix_exit_2(self, capsys):
+        assert main(["preset", "free_torus", "--matrix", "[[1,2]]"]) == 2
+        assert "n x n" in capsys.readouterr().err
+
+
+class TestPresetOptions:
+    def test_every_preset_has_an_option_table(self):
+        from invqm.cli import PRESET_OPTIONS
+        from invqm.engine import PRESET_NAMES
+        assert sorted(PRESET_OPTIONS) == sorted(PRESET_NAMES)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["surface", "--genus", "2", "--rank", "5"],
+         "preset surface does not take --rank"),
+        (["circle_bundle", "--genus", "2", "--euler", "3", "--power", "5"],
+         "preset circle_bundle does not take --power"),
+        (["free", "--rank", "-1"], "free needs n >= 0"),
+    ])
+    def test_refused_exit_2(self, capsys, argv, message):
+        assert main(["preset"] + argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestInvhoms:
     def test_surface(self, capsys, tmp_path):
@@ -121,6 +143,10 @@ class TestWedge:
     def test_nonzero_abelianization_exit_2(self, capsys):
         rc, _ = run(capsys, ["wedge", "a", "--gens", "a,b"])
         assert rc == 2
+
+    def test_duplicate_gens_exit_2(self, capsys):
+        assert main(["wedge", "[a,b]", "--gens", "a,b,a"]) == 2
+        assert "'a' given twice" in capsys.readouterr().err
 
 
 class TestTransgress:
@@ -153,6 +179,16 @@ class TestQm:
         assert rc == 0
         assert json.loads(out)["value"] == "1"
 
+    @pytest.mark.parametrize("mode, terms, value", [
+        ("big", "a^40:1", "1"), ("little", "aa:1", "1/2")])
+    def test_homog_exact(self, capsys, mode, terms, value):
+        # --kmax is accepted and ignored: there is no sampling horizon
+        for extra in ([], ["--kmax", "2"]):
+            rc, out = run(capsys, ["qm", "homog", "--mode", mode, "--terms",
+                                   terms, "--gens", "a", "--word", "a"]
+                          + extra)
+            assert (rc, out) == (0, value + "\n")
+
     def test_defect_witness(self, capsys):
         rc, out = run(capsys, ["qm", "defect", "--terms", "ab:1,BA:-1",
                                "--gens", "a,b", "--maxlen", "2", "--json"])
@@ -174,6 +210,19 @@ class TestQm:
         rc, _ = run(capsys, ["qm", "eval", "--terms", "ab:1",
                              "--gens", "a,b"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["defect", "--maxlen", "0"], "max_len must be at least 1"),
+        (["bavard", "--word", "ab", "--maxlen", "0"],
+         "max_len must be at least 1"),
+        (["bavard", "--word", "ab", "--defect-upper", "0"],
+         "must be positive"),
+    ])
+    def test_library_validation_exit_2(self, capsys, argv, message):
+        assert main(["qm", argv[0], "--terms", "ab:1", "--gens", "a,b"]
+                    + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
 
 
 class TestRatStr:

@@ -1,13 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_word
 from invqm.words import (FreeWord, GeneratorRangeError, Presentation,
                          RankMismatchError, UnknownGeneratorError,
-                         WordSyntaxError, commutator, conjugate, generator,
-                         is_in_commutator_subgroup, parse_presentation,
-                         parse_word, power, render, word)
+                         WordSyntaxError, commutator, conjugate, cyclic_core,
+                         generator, is_in_commutator_subgroup,
+                         parse_presentation, parse_word, power, render, word)
+
+# words of rank 3 from arbitrary letter lists, reduced by the constructor
+words3 = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=24).map(
+    lambda xs: FreeWord(3, tuple(xs)))
 
 
 def surface_presentation_text(l):
@@ -61,6 +67,42 @@ class TestGroupOps:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             generator(2, 1) * generator(3, 1)
+
+
+class TestAgainstFullReduction:
+    """Junction-only products and cyclic-core powers against rebuilding
+    the word from its concatenated letters."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(words3, words3, st.integers(0, 24))
+    def test_product(self, u, v, j):
+        assert u * v == FreeWord(3, u.letters + v.letters)
+        # v starting with a piece of u^-1, so that the junction cancels
+        v = FreeWord(3, tuple(-x for x in u.letters[::-1])[:j] + v.letters)
+        assert u * v == FreeWord(3, u.letters + v.letters)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(words3)
+    def test_inverse(self, w):
+        assert w.inverse() == FreeWord(3, tuple(-x for x in w.letters[::-1]))
+
+    @settings(derandomize=True, max_examples=200)
+    @given(words3, st.integers(-6, 6))
+    def test_power(self, w, k):
+        step = w if k >= 0 else FreeWord(3, tuple(-x for x in w.letters[::-1]))
+        expected = FreeWord(3)
+        for _ in range(abs(k)):
+            expected = FreeWord(3, expected.letters + step.letters)
+        assert w ** k == expected
+
+    @settings(derandomize=True, max_examples=200)
+    @given(words3)
+    def test_cyclic_core(self, w):
+        c = cyclic_core(w).letters
+        assert not c or c[0] != -c[-1]
+        t = (len(w) - len(c)) // 2
+        u = FreeWord(3, w.letters[:t])
+        assert FreeWord(3, u.letters + c + u.inverse().letters) == w
 
 
 class TestCommutator:
