@@ -8,8 +8,8 @@ from .engine import (DimensionReport, analyze_free_by_cyclic,
                      analyze_mapping_torus, analyze_presentation, preset)
 from .invhoms import (constraint_space, evaluate_on_quotient, inv_hom_basis,
                       inv_hom_dim)
-from .magnus import (InvariantHom, WedgeVec, abelianize, alpha_eval, hom_eval,
-                     magnus_deg2, pair_sum_class, wedge_class)
+from .magnus import (InvariantHom, WedgeVec, abelianize, alpha_eval,
+                     doubled_class, hom_eval, wedge_class)
 from .quotients import (AbelianQuotient, SemidirectQuotient, abelian_quotient,
                         free_quotient, h1_dim, h2_dim, h2_dim_semidirect,
                         h2_dim_total_space, surface_quotient)

@@ -252,25 +252,3 @@ def bavard_lower_bound(f: CountingQM, x: FreeWord,
         raise ValueError("upper defect certificate must be positive")
     value = homogenize_eval(f, x)
     return abs(value) / (2 * defect_upper.bound)
-
-
-def equivalence_report(C: Fraction, flag: str = "generic") -> str:
-    """Sandwich statement relating scl to its mixed version on mixed
-    commutators, under the hypothesis that every invariant quasimorphism
-    splits as invariant homomorphism plus extendable.
-
-    flag 'solvable' forces C = 1 (the two lengths agree), 'amenable' forces
-    C = 2; 'generic' uses the supplied constant.
-    """
-    if flag == "solvable":
-        return ("scl_G = scl_{G,N} on [G,N] "
-                "(solvable quotient; constant 1)")
-    if flag == "amenable":
-        return ("scl_G(x) <= scl_{G,N}(x) <= 2*scl_G(x) on [G,N] "
-                "(amenable quotient; constant 2)")
-    if flag == "generic":
-        C = Fraction(C)
-        if C < 1:
-            raise ValueError("the sandwich constant must be at least 1")
-        return f"scl_G(x) <= scl_{{G,N}}(x) <= {C}*scl_G(x) on [G,N]"
-    raise ValueError(f"unknown flag {flag!r}")

@@ -9,6 +9,7 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -315,12 +316,20 @@ def cmd_transgress(args) -> int:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"bad pairs JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise CliError("pairs must be a JSON array of [g1, g2] entries")
     t = transgression.Transgressor(f)
     results = []
-    for entry in raw:
-        g1, g2 = entry
-        if len(g1) != args.rank or len(g2) != args.rank:
-            raise CliError("pair vectors must have length --rank")
+    for k, entry in enumerate(raw, start=1):
+        if (not isinstance(entry, list) or len(entry) != 2
+                or not all(isinstance(g, list) and len(g) == args.rank
+                           for g in entry)):
+            raise CliError(f"pair {k} must be two vectors of length --rank")
+        try:
+            g1, g2 = ([_matrix_entry(x, i, j) for j, x in enumerate(g, 1)]
+                      for i, g in enumerate(entry, 1))
+        except CliError as exc:
+            raise CliError(f"pair {k}: {exc}") from exc
         results.append({"g1": g1, "g2": g2, "value": rat_str(t(g1, g2))})
     obj = {"schema_version": SCHEMA_VERSION, "values": results}
     emit(obj, args.json,
@@ -392,7 +401,10 @@ def _require_word(args) -> str:
 
 # --- argument parsing -------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; subcommand `x` runs `cmd_x`."""
     parser = argparse.ArgumentParser(
         prog="invqm",
         description="Exact dimension computations for spaces of "
@@ -407,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("presentation")
     p.add_argument("--assert-hyperbolic", action="store_true")
     add_json(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("preset", help="run a named standard instance")
     p.add_argument("name", choices=engine.PRESET_NAMES)
@@ -418,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--euler", type=int)
     p.add_argument("--matrix")
     add_json(p)
-    p.set_defaults(func=cmd_preset)
 
     p = sub.add_parser("torus", help="analyze a semidirect-product quotient")
     p.add_argument("--shape", choices=["surface", "free"], required=True)
@@ -428,19 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-hyperbolic", action="store_true")
     p.add_argument("--assert-atoroidal", action="store_true")
     add_json(p)
-    p.set_defaults(func=cmd_torus)
 
     p = sub.add_parser("invhoms",
                        help="invariant homomorphisms of a presentation")
     p.add_argument("presentation")
     add_json(p)
-    p.set_defaults(func=cmd_invhoms)
 
     p = sub.add_parser("wedge", help="wedge class of a word")
     p.add_argument("word")
     p.add_argument("--gens", required=True)
     add_json(p)
-    p.set_defaults(func=cmd_wedge)
 
     p = sub.add_parser("transgress",
                        help="transgressed 2-cocycle of a basis functional")
@@ -449,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs")
     p.add_argument("--cup-matrix", action="store_true")
     add_json(p)
-    p.set_defaults(func=cmd_transgress)
 
     p = sub.add_parser("qm", help="counting quasimorphism toolkit")
     p.add_argument("action", choices=["eval", "homog", "defect", "bavard"])
@@ -463,16 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "that older command lines still run")
     p.add_argument("--defect-upper")
     add_json(p)
-    p.set_defaults(func=cmd_qm)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name on each call, so a cmd_* function replaced after the
+        # shared parser was built still takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"invqm: {exc}", file=sys.stderr)
         return 2

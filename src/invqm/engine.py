@@ -2,51 +2,31 @@
 
 Assembles, for a pair (G, N), the dimensions of the space of invariant
 quasimorphisms on N modulo extendable ones, and modulo invariant
-homomorphisms plus extendable ones.  Equality versus upper-bound status is
-tracked through explicit hypothesis flags: the engine never claims equality
-without either an asserted gate or a two-sided squeeze.
+homomorphisms plus extendable ones.  Both are bounded above by H^2 of the
+quotient through the five-term exact sequence; one rule (`_status`) decides
+when a bound is an equality: the comparison map is asserted surjective, or
+the upper bound meets its lower bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .invhoms import inv_hom_dim
 from .linalg import MatZ, identity
-from .quotients import (FREE, SURFACE, AbelianQuotient, SemidirectQuotient,
-                        abelian_quotient, free_quotient, h2_dim,
-                        h2_dim_semidirect, h2_dim_total_space,
-                        surface_quotient)
+from .quotients import (FREE, SURFACE, SemidirectQuotient, abelian_quotient,
+                        free_quotient, h2_dim, h2_dim_semidirect,
+                        h2_dim_total_space, surface_quotient)
 from .words import FreeWord, Presentation, commutator, generator
 
 EQUALITY = "equality"
 UPPER_BOUND = "upper_bound"
 
-AUTOMATIC = "automatic"
-ASSERTED = "asserted"
-UNKNOWN = "unknown"
-
 
 class DimValue(NamedTuple):
     value: int
     status: str
-
-
-@dataclass(frozen=True)
-class Hypotheses:
-    """Provenance of the unprovable inputs to a report.
-
-    quotient_boundedly_3_acyclic is 'automatic' for the two supported
-    quotient shapes (abelian, and abelian-by-cyclic), both solvable and
-    hence amenable; the engine records this, it does not prove it.
-    comparison_surjective is user-asserted (hyperbolicity of G) or unknown.
-    """
-
-    quotient_boundedly_3_acyclic: str = UNKNOWN
-    quotient_acyclicity_reason: str = ""
-    comparison_surjective: str = UNKNOWN
-    N_is_commutator_subgroup: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,7 +36,6 @@ class DimensionReport:
     dim_h1NG: int | None
     dim_h2_Gamma: int
     dim_h2_G: int | None
-    hypotheses: Hypotheses
     provenance: tuple[str, ...] = ()
 
 
@@ -64,89 +43,73 @@ class PreconditionError(ValueError):
     pass
 
 
+def _status(dim: str, upper: int, lower: int, asserted: bool,
+            provenance: list[str], squeezed: str,
+            bound_only: str = "") -> DimValue:
+    """The upper bound of one dimension, with its status.
+
+    It is an equality when the comparison map is asserted surjective or
+    when the upper bound meets the lower bound; only the second case needs
+    a note of its own.  `squeezed` and `bound_only` are the notes for the
+    squeeze and for a bare bound (none when empty).
+    """
+    if asserted:
+        return DimValue(upper, EQUALITY)
+    if upper == lower:
+        provenance.append(f"{dim} dimension squeezed: {squeezed}")
+        return DimValue(upper, EQUALITY)
+    if bound_only:
+        provenance.append(f"{dim} dimension: {bound_only}")
+    return DimValue(upper, UPPER_BOUND)
+
+
 def analyze_presentation(P: Presentation,
                          assert_hyperbolic: bool = False) -> DimensionReport:
     """Report for G given by the presentation and N = [G, G].
 
-    The quotient is abelian, so bounded 3-acyclicity is automatic.  The
-    first dimension equals dim H^2 of the abelianization when the degree-2
-    comparison map of G is surjective (asserted via hyperbolicity) or when
-    the invariant-homomorphism lower bound already meets that upper bound;
-    likewise the second dimension equals the difference with dim H^1(N)^G,
-    with the value 0 forcing equality outright.
+    The quotient is abelian, so bounded 3-acyclicity is automatic.  Both
+    dimensions are bounded by dim H^2 of the abelianization, the second
+    after subtracting dim H^1(N)^G.  The lower bounds are dim H^1(N)^G
+    (invariant homomorphisms inject) for the first and 0 for the second.
     """
-    gamma = abelian_quotient(P)
-    h2 = h2_dim(gamma)
+    h2 = h2_dim(abelian_quotient(P))
     h1ng = inv_hom_dim(P)
-    second_val = h2 - h1ng
     provenance = ["quotient boundedly 3-acyclic: automatic (abelian, hence "
                   "amenable)"]
-    hyp = Hypotheses(
-        quotient_boundedly_3_acyclic=AUTOMATIC,
-        quotient_acyclicity_reason="abelian quotient",
-        comparison_surjective=ASSERTED if assert_hyperbolic else UNKNOWN,
-    )
-
     if assert_hyperbolic:
-        first = DimValue(h2, EQUALITY)
-        second = DimValue(second_val, EQUALITY)
         provenance.append("comparison map surjective: asserted (hyperbolic G)")
-    else:
-        if h1ng == h2:
-            first = DimValue(h2, EQUALITY)
-            provenance.append(
-                "first dimension squeezed: invariant homomorphisms inject "
-                "and meet the H^2 upper bound")
-        else:
-            first = DimValue(h2, UPPER_BOUND)
-            provenance.append("first dimension: H^2 upper bound only")
-        if second_val == 0:
-            second = DimValue(0, EQUALITY)
-            provenance.append("second dimension squeezed: upper bound is 0")
-        else:
-            second = DimValue(second_val, UPPER_BOUND)
-            provenance.append("second dimension: upper bound only")
-
-    return DimensionReport(first, second, h1ng, h2, None, hyp,
-                           tuple(provenance))
+    first = _status("first", h2, h1ng, assert_hyperbolic, provenance,
+                    "invariant homomorphisms inject and meet the H^2 upper "
+                    "bound", "H^2 upper bound only")
+    second = _status("second", h2 - h1ng, 0, assert_hyperbolic, provenance,
+                     "upper bound is 0", "upper bound only")
+    return DimensionReport(first, second, h1ng, h2, None, tuple(provenance))
 
 
 def _semidirect_report(q: SemidirectQuotient) -> DimensionReport:
+    """The two dimensions are bounded by dim H^2 of the quotient and of the
+    total space, with lower bound 0; dim H^1(N)^G is their difference once
+    both are equalities by assertion."""
     h2_gamma = h2_dim_semidirect(q)
     h2_g = h2_dim_total_space(q)
-    first_val = h2_gamma
-    second_val = h2_g
+    asserted = q.hyperbolicity_asserted
     provenance = ["quotient boundedly 3-acyclic: automatic (abelian-by-cyclic,"
                   " hence solvable and amenable)"]
-    hyp = Hypotheses(
-        quotient_boundedly_3_acyclic=AUTOMATIC,
-        quotient_acyclicity_reason="abelian-by-cyclic quotient",
-        comparison_surjective=ASSERTED if q.hyperbolicity_asserted else UNKNOWN,
-        N_is_commutator_subgroup=False,
-    )
-    if q.hyperbolicity_asserted:
-        status = EQUALITY
+    if asserted:
         provenance.append(
             "comparison map surjective: asserted ("
             + ("pseudo-Anosov monodromy" if q.shape == SURFACE
                else "atoroidal automorphism") + ")")
-        h1ng = h2_gamma - second_val
     else:
-        status = UPPER_BOUND
         provenance.append("hyperbolicity not asserted: both dimensions are "
                           "upper bounds")
-        h1ng = None
-    first = DimValue(first_val, status)
-    second = DimValue(second_val, status)
-    # a zero upper bound is already an equality
-    if first.status == UPPER_BOUND and first.value == 0:
-        first = DimValue(0, EQUALITY)
-        provenance.append("first dimension squeezed: upper bound is 0")
-    if second.status == UPPER_BOUND and second.value == 0:
-        second = DimValue(0, EQUALITY)
-        provenance.append("second dimension squeezed: upper bound is 0")
-    return DimensionReport(first, second, h1ng, h2_gamma, h2_g, hyp,
-                           tuple(provenance))
+    first = _status("first", h2_gamma, 0, asserted, provenance,
+                    "upper bound is 0")
+    second = _status("second", h2_g, 0, asserted, provenance,
+                     "upper bound is 0")
+    return DimensionReport(first, second,
+                           h2_gamma - h2_g if asserted else None,
+                           h2_gamma, h2_g, tuple(provenance))
 
 
 def analyze_mapping_torus(q: SemidirectQuotient) -> DimensionReport:
@@ -195,11 +158,7 @@ def circle_bundle_group(l: int, n: int) -> Presentation:
     """Unit circle bundle of Euler number n over the genus-l surface."""
     rank = 2 * l + 1
     fiber = generator(rank, rank)
-    r = FreeWord(rank)
-    for i in range(l):
-        r = r * commutator(generator(rank, 2 * i + 1),
-                           generator(rank, 2 * i + 2))
-    relators = [r * fiber ** n]
+    relators = [FreeWord(rank, surface_relator(l).letters) * fiber ** n]
     for i in range(1, 2 * l + 1):
         relators.append(commutator(generator(rank, i), fiber))
     return Presentation(rank, _names(rank), tuple(relators))

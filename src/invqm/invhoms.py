@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import invariant_factors, kernel_basis, pair_index, rref
-from .magnus import InvariantHom, WedgeVec, abelianize, quadratic_class
+from .magnus import (InvariantHom, WedgeVec, abelianize, doubled_class,
+                     quadratic_class)
 from .words import FreeWord, Presentation
 
 
@@ -71,8 +72,7 @@ def constraint_space(P: Presentation) -> ConstraintSpace:
                     else:
                         row[idx[(i, j)]] = -x
             rows.append(row)
-    doubled = [[int(2 * x) for x in quadratic_class(r).coeffs]
-               for r in P.relators]
+    doubled = [doubled_class(r) for r in P.relators]
     for c in kernel_basis([list(col) for col in zip(*R)]):
         rows.append([sum(ci * x for ci, x in zip(c, col))
                      for col in zip(*doubled)])

@@ -1,15 +1,18 @@
-"""Degree-2 truncated Magnus calculus on free groups.
+"""Wedge classes of free-group words.
 
-Sends a_i to 1 + x_i in the free associative algebra truncated at degree 2
-(so a_i^-1 goes to 1 - x_i + x_i^2) and extracts the wedge class of a
-commutator-subgroup word in the second lower-central quotient, identified
-with the wedge square of Q^n over the lexicographic pair basis.
+The quadratic class of a word is half the antisymmetrized sum, over ordered
+pairs of letter positions, of the wedges of their signed generators.  It is
+the wedge part of the image of the word in the free nilpotent quotient of
+class 2; on the commutator subgroup it is the wedge class, identified with
+the wedge square of Q^n over the lexicographic pair basis, with [a_k, a_l]
+sent to e_k wedge e_l.  One integer routine (`doubled_class`) computes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .linalg import VecZ, pair_basis, pair_index
 from .words import FreeWord, exponent_sums
@@ -22,30 +25,6 @@ class NonzeroAbelianizationError(ValueError):
 def abelianize(w: FreeWord) -> VecZ:
     """Signed exponent-sum vector of w."""
     return exponent_sums(w)
-
-
-def magnus_deg2(w: FreeWord) -> tuple[VecZ, list[VecZ]]:
-    """Degree-1 vector and degree-2 coefficient matrix of the truncated
-    expansion of w.  Q[i][j] is the coefficient of x_{i+1} x_{j+1}."""
-    n = w.rank
-    lin = [0] * n
-    quad = [[0] * n for _ in range(n)]
-    for x in w.letters:
-        g = abs(x) - 1
-        if x > 0:
-            # (1 + L + Q)(1 + x_g): Q += L ⊗ x_g, L += x_g
-            for i in range(n):
-                if lin[i]:
-                    quad[i][g] += lin[i]
-            lin[g] += 1
-        else:
-            # (1 + L + Q)(1 - x_g + x_g^2)
-            for i in range(n):
-                if lin[i]:
-                    quad[i][g] -= lin[i]
-            quad[g][g] += 1
-            lin[g] -= 1
-    return lin, quad
 
 
 @dataclass(frozen=True)
@@ -90,50 +69,42 @@ class WedgeVec:
                 for (i, j), c in zip(pair_basis(self.rank), self.coeffs)]
 
 
-def quadratic_class(w: FreeWord) -> WedgeVec:
-    """Half the antisymmetrized pair sum over letter positions.
+def doubled_class(w: FreeWord) -> VecZ:
+    """Twice the quadratic class of w, as integers over the pair basis.
 
-    No precondition: on arbitrary words this is the wedge part of the image
-    of w in the degree-2 free nilpotent quotient; it obeys
-    q(uv) = q(u) + q(v) + (1/2) ab(u) ∧ ab(v).
+    Entry (i, j) counts, with signs, the letter pairs a_i before a_j minus
+    the pairs a_j before a_i.  after[g][i] accumulates, over the letters of
+    generator g, the signed count of a_i letters that came earlier.
     """
     n = w.rank
-    idx = pair_index(n)
-    coeffs = [Fraction(0)] * (n * (n - 1) // 2)
-    running = [0] * n  # signed counts of letters seen so far
+    running = [0] * n
+    after = [[0] * n for _ in range(n)]
     for x in w.letters:
-        g = abs(x)
-        sign = 1 if x > 0 else -1
-        for i in range(1, n + 1):
-            if i == g or running[i - 1] == 0:
-                continue
-            # pair (earlier letter i, current letter g)
-            contrib = Fraction(running[i - 1] * sign, 2)
-            if i < g:
-                coeffs[idx[(i, g)]] += contrib
-            else:
-                coeffs[idx[(g, i)]] -= contrib
-        running[g - 1] += sign
-    return WedgeVec(n, tuple(coeffs))
+        if x > 0:
+            after[x - 1] = list(map(add, after[x - 1], running))
+            running[x - 1] += 1
+        else:
+            after[-x - 1] = list(map(sub, after[-x - 1], running))
+            running[-x - 1] -= 1
+    return [after[j - 1][i - 1] - after[i - 1][j - 1]
+            for i, j in pair_basis(n)]
+
+
+def quadratic_class(w: FreeWord) -> WedgeVec:
+    """Half of `doubled_class`, with no precondition on w.
+
+    On arbitrary words this is the wedge part of the image of w in the
+    degree-2 free nilpotent quotient; it obeys
+    q(uv) = q(u) + q(v) + (1/2) ab(u) ∧ ab(v).
+    """
+    return WedgeVec(w.rank, tuple(Fraction(x, 2) for x in doubled_class(w)))
 
 
 def wedge_class(w: FreeWord) -> WedgeVec:
     """Image of a commutator-subgroup word in the wedge square, normalized so
-    that [a_k, a_l] maps to e_k wedge e_l.  Computed from the Magnus degree-2
-    coefficients; integral on the commutator subgroup."""
-    if any(s != 0 for s in abelianize(w)):
-        raise NonzeroAbelianizationError("word has nonzero abelianization")
-    n = w.rank
-    _, quad = magnus_deg2(w)
-    coeffs = [Fraction(quad[i - 1][j - 1] - quad[j - 1][i - 1], 2)
-              for (i, j) in pair_basis(n)]
-    return WedgeVec(n, tuple(coeffs))
-
-
-def pair_sum_class(w: FreeWord) -> WedgeVec:
-    """Independent second route to wedge_class via direct position-pair
-    enumeration; must agree with wedge_class exactly."""
-    if any(s != 0 for s in abelianize(w)):
+    that [a_k, a_l] maps to e_k wedge e_l: the quadratic class, integral on
+    the commutator subgroup."""
+    if any(abelianize(w)):
         raise NonzeroAbelianizationError("word has nonzero abelianization")
     return quadratic_class(w)
 

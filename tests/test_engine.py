@@ -52,6 +52,14 @@ class TestPresentationAnalysis:
         assert asserted.dim_q_mod_h1_and_extendable.status == EQUALITY
         assert unknown.dim_q_mod_h1_and_extendable.status == UPPER_BOUND
 
+    def test_asserted_zero_bound_needs_no_squeeze(self):
+        # an asserted equality is not also reported as a squeeze
+        fib = free_quotient(2, [[0, 1], [1, 1]], hyperbolicity_asserted=True)
+        for r in (analyze_presentation(free_group(2), assert_hyperbolic=True),
+                  analyze_free_by_cyclic(fib)):
+            assert r.dim_q_mod_h1_and_extendable == (0, EQUALITY)
+            assert not any("squeezed" in p for p in r.provenance)
+
 
 class TestMappingTorus:
     def test_torelli(self):

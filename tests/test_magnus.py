@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_commutator_word, rand_word
+from invqm.linalg import pair_basis
 from invqm.magnus import (InvariantHom, NonzeroAbelianizationError, WedgeVec,
-                          abelianize, alpha_eval, hom_eval, magnus_deg2,
-                          pair_sum_class, wedge_class)
+                          abelianize, alpha_eval, doubled_class, hom_eval,
+                          quadratic_class, wedge_class)
 from invqm.words import (FreeWord, commutator, conjugate, generator,
                          parse_word)
+from test_acceptance_helpers import magnus_deg2, magnus_wedge_class
 
 
 def comm_of_gens(rank, i, j):
@@ -77,17 +79,29 @@ class TestWedgeClass:
 
 
 class TestPairSumOracle:
+    """The pair-sum routine behind wedge_class against the Magnus oracle."""
+
     def test_commutator(self):
-        assert pair_sum_class(comm_of_gens(2, 1, 2)).coeffs == (Fraction(1),)
+        assert doubled_class(comm_of_gens(2, 1, 2)) == [2]
+        assert quadratic_class(comm_of_gens(2, 1, 2)).coeffs == (Fraction(1),)
 
     def test_commutator_squared(self):
         w = comm_of_gens(2, 1, 2) ** 2
-        assert pair_sum_class(w).coeffs == (Fraction(2),)
+        assert quadratic_class(w).coeffs == (Fraction(2),)
 
     def test_agrees_with_wedge_class(self, rng):
         for _ in range(500):
             w = rand_commutator_word(rng, 4, 30)
-            assert pair_sum_class(w) == wedge_class(w)
+            assert magnus_wedge_class(w) == wedge_class(w)
+
+    def test_doubled_class_on_any_word(self, rng):
+        # off the diagonal the Magnus coefficient Q[i][j] is the signed
+        # count of letter pairs a_i before a_j, on every word
+        for _ in range(300):
+            w = rand_word(rng, 4, 30)
+            _, quad = magnus_deg2(w)
+            assert doubled_class(w) == [quad[i - 1][j - 1] - quad[j - 1][i - 1]
+                                        for i, j in pair_basis(4)]
 
     def test_additivity(self, rng):
         for _ in range(100):

@@ -3,12 +3,19 @@ from fractions import Fraction
 from invqm.linalg import pair_basis
 from invqm.magnus import InvariantHom, hom_eval
 from invqm.transgression import (Transgressor, antisym_pairing,
-                                 cocycle_coboundary, commutator_pairing,
-                                 cup_class_matrix, lift_F, standard_section,
-                                 transgress)
+                                 cocycle_coboundary, cup_class_matrix, lift_F,
+                                 standard_section, transgress)
 from invqm.words import FreeWord, commutator, generator
 
 from conftest import rand_commutator_word
+
+
+def commutator_pairing(f, g1, g2):
+    """Independent oracle: evaluate f directly on the commutator of the
+    section values."""
+    s1 = standard_section(f.rank, g1)
+    s2 = standard_section(f.rank, g2)
+    return hom_eval(f, commutator(s1, s2))
 
 
 def rand_vec(rng, n, bound=4):
