@@ -20,6 +20,8 @@ from .words import FreeWord, cyclic_core
 
 LITTLE = "little"
 BIG = "big"
+MAX_DEFECT_PAIRS = 1_000_000
+"""Most pairs (x, y) of reduced words that `defect_lower_bound` enumerates."""
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,12 @@ def defect_lower_bound(f: CountingQM, max_len: int) -> DefectCertificate:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    words, layer = 1, 2 * f.rank  # reduced words of length <= k, of length k
+    for _ in range(max_len):
+        words, layer = words + layer, layer * (2 * f.rank - 1)
+        if words * words > MAX_DEFECT_PAIRS:
+            raise ValueError(f"max_len {max_len} at rank {f.rank} gives more "
+                             f"than {MAX_DEFECT_PAIRS} pairs of reduced words")
     scale = lcm(*(Fraction(coeff).denominator for _, coeff in f.terms))
     weights = [(w.letters, int(coeff * scale)) for w, coeff in f.terms]
     count = _count_big if f.mode == BIG else _count_little

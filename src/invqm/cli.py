@@ -250,17 +250,17 @@ def cmd_torus(args) -> int:
 
 def cmd_invhoms(args) -> int:
     P = load_presentation(args.presentation)
-    space = invhoms.inv_hom_basis(P)
     W = invhoms.constraint_space(P)
+    basis = invhoms.inv_hom_basis(W)
     obj = {
         "schema_version": SCHEMA_VERSION,
-        "dim": space.dimension,
+        "dim": len(basis),
         "basis": [[[i, j, rat_str(c)] for i, j, c in _hom_pairs(phi)]
-                  for phi in space.basis],
+                  for phi in basis],
         "constraints": [[[i, j, rat_str(c)] for i, j, c in v.pairs()
                          if c != 0] for v in W.basis],
     }
-    lines = [f"dim H1(N)^G = {space.dimension}",
+    lines = [f"dim H1(N)^G = {len(basis)}",
              f"dim constraint space = {W.dim}"]
     emit(obj, args.json, lines)
     return 0

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .invhoms import inv_hom_dim
-from .linalg import MatZ, identity
-from .quotients import (FREE, SURFACE, SemidirectQuotient, abelian_quotient,
+from .linalg import MatZ, identity, rank
+from .quotients import (FREE, SURFACE, AbelianQuotient, SemidirectQuotient,
                         free_quotient, h2_dim, h2_dim_semidirect,
-                        h2_dim_total_space, surface_quotient)
+                        h2_dim_total_space, relator_abelianization_matrix,
+                        surface_quotient)
 from .words import FreeWord, Presentation, commutator, generator
 
 EQUALITY = "equality"
@@ -71,8 +72,11 @@ def analyze_presentation(P: Presentation,
     dimensions are bounded by dim H^2 of the abelianization, the second
     after subtracting dim H^1(N)^G.  The lower bounds are dim H^1(N)^G
     (invariant homomorphisms inject) for the first and 0 for the second.
+    Both are Bareiss ranks: dim H^2 = C(f, 2) with f = n - rank(R) for the
+    relator abelianization matrix R, and dim H^1(N)^G = C(n, 2) - dim W.
     """
-    h2 = h2_dim(abelian_quotient(P))
+    R = relator_abelianization_matrix(P)
+    h2 = h2_dim(AbelianQuotient(P.rank - rank(R)))
     h1ng = inv_hom_dim(P)
     provenance = ["quotient boundedly 3-acyclic: automatic (abelian, hence "
                   "amenable)"]

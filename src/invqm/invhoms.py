@@ -12,6 +12,9 @@ that annihilates a constraint space W assembled from the relators:
     an actual product word are of the form mu ∧ ab(r_i), so they already lie
     in the first span; taking the linear combination of per-relator
     quadratic classes is therefore equivalent modulo that span.
+
+dim H^1(N)^G is C(n, 2) minus the Bareiss rank of these rows; the RREF of W
+and the annihilator basis are built only for the `invhoms` report.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .linalg import invariant_factors, kernel_basis, pair_index, rref
+from .linalg import (VecZ, echelon, identity, invariant_factors,
+                     kernel_basis, pair_basis, rank, rref)
 from .magnus import (InvariantHom, WedgeVec, abelianize, doubled_class,
                      quadratic_class)
+from .quotients import relator_abelianization_matrix
 from .words import FreeWord, Presentation
 
 
@@ -43,64 +48,43 @@ class ConstraintSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class InvHomSpace:
-    """The annihilator of a constraint space: the pullback of the space of
-    invariant homomorphisms on the commutator subgroup."""
-
-    rank: int
-    dimension: int
-    basis: tuple[InvariantHom, ...]
+def _constraint_rows(P: Presentation) -> list[VecZ]:
+    """Integer rows over the pair basis spanning W, none from a relator of
+    zero abelianization.  Entry (i, k) of e_j ∧ mu is d_ij mu_k - d_kj mu_i.
+    Quadratic classes enter doubled, which makes them integral, and the
+    relator combinations are taken over Q: Bareiss elimination of the rows
+    [ab(r) | 2q(r)] leaves, past the first n pivot columns, rows [0 | 2q]
+    that span the combinations with zero abelianization."""
+    n = P.rank
+    R = relator_abelianization_matrix(P)
+    rows = [[(i == j) * mu[k - 1] - (k == j) * mu[i - 1]
+             for i, k in pair_basis(n)]
+            for mu in filter(any, R) for j in range(1, n + 1)]
+    lifted, pivots, _ = echelon(
+        [mu + doubled_class(r) for mu, r in zip(R, P.relators)])
+    return rows + [row[n:] for row, p in zip(lifted, pivots) if p >= n]
 
 
 def constraint_space(P: Presentation) -> ConstraintSpace:
-    """W as integer rows over the pair basis, reduced to the rows of its
-    RREF (content 1).  Quadratic classes enter doubled, which makes them
-    integral, and the relator combinations are taken over Q: the left kernel
-    of the relator matrix spans the same space over Q as over Z."""
-    n = P.rank
-    idx = pair_index(n)
-    R = [abelianize(r) for r in P.relators]
-    rows = []
-    for mu in R:
-        for j in range(1, n + 1):
-            row = [0] * len(idx)
-            for i, x in enumerate(mu, start=1):
-                if x and i != j:  # x e_j ∧ e_i
-                    if j < i:
-                        row[idx[(j, i)]] = x
-                    else:
-                        row[idx[(i, j)]] = -x
-            rows.append(row)
-    doubled = [doubled_class(r) for r in P.relators]
-    for c in kernel_basis([list(col) for col in zip(*R)]):
-        rows.append([sum(ci * x for ci, x in zip(c, col))
-                     for col in zip(*doubled)])
-    W, _ = rref([row for row in rows if any(row)])
-    return ConstraintSpace(n, tuple(
-        WedgeVec(n, tuple(Fraction(x) for x in row)) for row in W))
+    """W reduced to the rows of its RREF (content 1)."""
+    W, _ = rref(_constraint_rows(P))
+    return ConstraintSpace(P.rank, tuple(
+        WedgeVec(P.rank, tuple(Fraction(x) for x in row)) for row in W))
 
 
 def inv_hom_dim(P: Presentation) -> int:
+    """dim H^1(N)^G = C(n, 2) - dim W."""
     n = P.rank
-    return n * (n - 1) // 2 - constraint_space(P).dim
+    return n * (n - 1) // 2 - rank(_constraint_rows(P))
 
 
-def inv_hom_basis(P: Presentation) -> InvHomSpace:
+def inv_hom_basis(W: ConstraintSpace) -> tuple[InvariantHom, ...]:
     """Basis of the annihilator of the constraint space, in reduced
     row-echelon order over the lexicographic pair basis."""
-    n = P.rank
-    W = constraint_space(P)
-    npairs = n * (n - 1) // 2
-    if not W.basis:
-        basis = tuple(InvariantHom(n, tuple(
-            Fraction(1) if k == t else Fraction(0) for k in range(npairs)))
-            for t in range(npairs))
-        return InvHomSpace(n, npairs, basis)
-    R, _ = rref(kernel_basis([v.coeffs for v in W.basis]))
-    basis = tuple(InvariantHom(n, tuple(Fraction(x) for x in row))
-                  for row in R)
-    return InvHomSpace(n, len(basis), basis)
+    n = W.rank
+    rows = [v.coeffs for v in W.basis]
+    R, _ = rref(kernel_basis(rows) if rows else identity(n * (n - 1) // 2))
+    return tuple(InvariantHom(n, tuple(Fraction(x) for x in row)) for row in R)
 
 
 def _commutator_lattice_coords(P: Presentation,
@@ -122,7 +106,7 @@ def _commutator_lattice_coords(P: Presentation,
     if not P.relators:
         raise NotInCommutatorSubgroupError(
             "word has nonzero abelianization and there are no relators")
-    R = [abelianize(r) for r in P.relators]
+    R = relator_abelianization_matrix(P)
     before, after = invariant_factors(R), invariant_factors(R + [mu])
     if len(after) != len(before) or prod(after) != prod(before):
         raise NotInCommutatorSubgroupError(

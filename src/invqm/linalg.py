@@ -43,10 +43,10 @@ def mat_vec(A, v):
 
 
 def _integerize_rows(A: Sequence[Sequence]) -> MatZ:
-    """Scale each row by the lcm of its denominators; preserves rank, row
-    space and kernel."""
+    """The nonzero rows of A, each scaled by the lcm of its denominators;
+    preserves rank, row space and kernel."""
     out = []
-    for row in A:
+    for row in filter(any, A):
         # integer rows, the common case, skip the costly Fraction round trip
         if all(type(x) is int for x in row):
             out.append(list(row))
@@ -67,10 +67,11 @@ def _primitive(v: VecZ) -> VecZ:
 
 def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int], int]:
     """Fraction-free forward elimination (Bareiss 1968) of an integerized
-    copy of A.
+    copy of the nonzero rows of A.
 
     Returns the nonzero echelon rows, their pivot columns and the sign of
-    the row permutation.  Every entry stays an integer minor of the
+    the permutation of the nonzero rows (all of A's rows when A is square
+    of full rank, the only case `det` reads it in).  Every entry stays an integer minor of the
     integerized, row-permuted input; the pivot of echelon row k is the
     leading (k+1)-minor on the pivot columns, so the last pivot is the
     determinant of the full pivot minor.

@@ -1,6 +1,7 @@
 """Quotient structure: the abelianization of a presented group and the two
 semidirect-product quotient shapes, with their real cohomology dimensions in
-degrees one and two."""
+degrees one and two.  Real dimensions are ranks; `abelian_quotient` runs
+the Smith normal form only for its torsion."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ class AbelianQuotient:
 
 
 def relator_abelianization_matrix(P: Presentation) -> MatZ:
+    """Row i is ab(r_i); the one place this matrix is built."""
     return [abelianize(r) for r in P.relators]
 
 

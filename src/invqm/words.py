@@ -97,7 +97,7 @@ class FreeWord:
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
+        if k == 0 or not self.letters:
             return FreeWord._reduced(self.rank, ())
         letters = self.letters
         n = len(letters)
@@ -275,6 +275,13 @@ class _Parser:
             kind, v, col = self.tz.next()
             if kind != "int":
                 raise WordSyntaxError("expected integer exponent", self.tz.line, col)
+            if not atom.letters:
+                return atom  # the empty word to any power
+            digits = len(v.lstrip("-").lstrip("0"))
+            if digits >= 8:  # at least 10^7 letters; refused before int()
+                raise WordSyntaxError(
+                    f"exponent of {digits} digits exceeds the parser limit of "
+                    f"{MAX_PARSED_LETTERS} letters", self.tz.line, col)
             k = int(v)
             # atom = u c u^-1, so atom^k = u c^k u^-1 has 2|u| + |k||c| letters
             t = _conjugator_length(atom.letters)

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_word
+from invqm import brooks
 from invqm.brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
                           bavard_lower_bound, defect_lower_bound,
                           homogenize_eval, qm_eval, reduced_words_up_to)
@@ -190,6 +191,24 @@ class TestDefect:
         # 1 + 4 + 4*3 reduced words of length <= 2
         assert len(words) == 17
         assert len(set(words)) == 17
+
+    def test_pair_limit_boundary(self, monkeypatch):
+        # 17 reduced words of length <= 2 at rank 2, so 289 pairs
+        f = count_qm("ab")
+        monkeypatch.setattr(brooks, "MAX_DEFECT_PAIRS", 289)
+        assert defect_lower_bound(f, 2).bound == 1
+        monkeypatch.setattr(brooks, "MAX_DEFECT_PAIRS", 288)
+        with pytest.raises(ValueError, match="more than 288 pairs"):
+            defect_lower_bound(f, 2)
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 5), (2, 10 ** 12)])
+    def test_pair_limit_refused_before_enumerating(self, rank, max_len):
+        # (2, 5) and (3, 4) are the largest accepted: 485 and 937 words
+        assert brooks.MAX_DEFECT_PAIRS == 1_000_000
+        f = CountingQM(rank, ((FreeWord(rank, (1, 2)), Fraction(1)),))
+        with pytest.raises(ValueError, match=f"max_len {max_len} at rank "
+                           f"{rank} gives more than 1000000 pairs"):
+            defect_lower_bound(f, max_len)
 
     @PROPERTY
     @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]).flatmap(

@@ -141,6 +141,18 @@ class TestInvhoms:
         assert len(obj["basis"]) == 5
         assert obj["constraints"] == [[[1, 2, "1"], [3, 4, "1"]]]
 
+    def test_constraint_space_built_once(self, capsys, monkeypatch):
+        from invqm import invhoms
+        calls = []
+        build = invhoms.constraint_space
+        monkeypatch.setattr(invhoms, "constraint_space",
+                            lambda P: calls.append(P) or build(P))
+        path = GOLDEN / "invhoms" / "circle_bundle_l2_n3.grp"
+        for json_flag in ([], ["--json"]):
+            calls.clear()
+            assert run(capsys, ["invhoms", str(path)] + json_flag)[0] == 0
+            assert len(calls) == 1
+
 
 class TestWedge:
     def test_commutator(self, capsys):
@@ -173,6 +185,18 @@ class TestWedge:
         err = capsys.readouterr().err
         assert "exceeds the parser limit of 1000000" in err
         assert f"(line 1, column {column})" in err
+
+    def test_exponent_beyond_int_conversion_exit_2(self, capsys):
+        assert main(["wedge", "a^" + "9" * 5000, "--gens", "a,b"]) == 2
+        err = capsys.readouterr().err
+        assert "exponent of 5000 digits exceeds the parser limit" in err
+        assert "(line 1, column 3)" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("exponent", ["9" * 20, "9" * 5000],
+                             ids=["20_digits", "5000_digits"])
+    def test_empty_word_to_huge_power(self, capsys, exponent):
+        assert run(capsys, ["wedge", f"(a A)^{exponent}", "--gens", "a,b"]) \
+            == (0, "0\n")
 
 
 class TestTransgress:
@@ -261,6 +285,10 @@ class TestQm:
          "max_len must be at least 1"),
         (["bavard", "--word", "ab", "--defect-upper", "0"],
          "must be positive"),
+        (["defect", "--maxlen", "9"],
+         "max_len 9 at rank 2 gives more than 1000000 pairs"),
+        (["bavard", "--word", "ab", "--maxlen", "6"],
+         "max_len 6 at rank 2 gives more than 1000000 pairs"),
     ])
     def test_library_validation_exit_2(self, capsys, argv, message):
         assert main(["qm", argv[0], "--terms", "ab:1", "--gens", "a,b"]

@@ -1,11 +1,22 @@
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invqm import linalg
 from invqm.engine import (EQUALITY, UPPER_BOUND, DimensionReport,
                           PreconditionError, analyze_free_by_cyclic,
                           analyze_mapping_torus, analyze_presentation,
-                          free_group, preset, surface_group)
-from invqm.linalg import identity, kernel_dim, mat_mul, mat_sub
-from invqm.quotients import free_quotient, surface_quotient
+                          circle_bundle_group, free_group, preset,
+                          surface_group)
+from invqm.invhoms import constraint_space, inv_hom_basis, inv_hom_dim
+from invqm.linalg import (identity, kernel_basis, kernel_dim, mat_mul,
+                          mat_sub, rank)
+from invqm.magnus import abelianize, doubled_class
+from invqm.quotients import (abelian_quotient, free_quotient, h2_dim,
+                             surface_quotient)
+from invqm.words import FreeWord, Presentation, commutator, generator
 from test_acceptance_helpers import integer_inverse, random_symplectic
 
 
@@ -146,3 +157,77 @@ class TestPresetValidation:
             preset("surface")
         with pytest.raises(PreconditionError):
             preset("circle_bundle", l=2, k=0)
+
+
+@st.composite
+def presentations(draw):
+    """Ranks 1 to 8 with 0 to n + 2 relators: reduced words, torsion
+    relators a_i^k, products of conjugated commutators (zero
+    abelianization) and the empty word."""
+    n = draw(st.integers(1, 8))
+    gens = st.integers(1, n)
+    letters = st.lists(st.sampled_from(
+        [s * g for g in range(1, n + 1) for s in (1, -1)]), max_size=10)
+    relators = []
+    for _ in range(draw(st.integers(0, n + 2))):
+        kind = draw(st.sampled_from(["word", "torsion", "commutator",
+                                     "empty"]))
+        if kind == "word":
+            r = FreeWord(n, tuple(draw(letters)))
+        elif kind == "torsion":
+            r = generator(n, draw(gens)) ** draw(st.integers(2, 6))
+        elif kind == "commutator":
+            r = FreeWord(n)
+            for _ in range(draw(st.integers(1, 3))):
+                g = FreeWord(n, tuple(draw(letters)))
+                c = commutator(generator(n, draw(gens)),
+                               generator(n, draw(gens)))
+                r = r * g * c ** draw(st.integers(-2, 2)) * g.inverse()
+        else:
+            r = FreeWord(n)
+        relators.append(r)
+    return Presentation(n, tuple(f"x{i}" for i in range(1, n + 1)),
+                        tuple(relators))
+
+
+class TestRankPath:
+    """analyze reads both dimensions off Bareiss ranks; the Smith normal
+    form and the RREF routes are the oracles."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(presentations())
+    def test_ranks_match_snf_and_rref_routes(self, P):
+        n = P.rank
+        report = analyze_presentation(P)
+        assert report.dim_h2_Gamma == h2_dim(abelian_quotient(P))
+        W = constraint_space(P)
+        assert report.dim_h1NG == n * (n - 1) // 2 - W.dim
+        assert len(inv_hom_basis(W)) == inv_hom_dim(P)
+        # W from words and a left kernel: 2 e_j ∧ ab(r) is the doubled class
+        # of [a_j, r], and combinations come from the kernel of R^T
+        conj = [doubled_class(commutator(generator(n, j), r))
+                for r in P.relators for j in range(1, n + 1)]
+        R = [abelianize(r) for r in P.relators]
+        doubled = [doubled_class(r) for r in P.relators]
+        combos = [[sum(c * x for c, x in zip(k, col)) for col in zip(*doubled)]
+                  for k in kernel_basis([list(col) for col in zip(*R)])]
+        assert W.dim == rank(conj + combos)
+
+    def test_analyze_uses_neither_snf_nor_rref(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("analyze must not call this")
+        for name in ("invariant_factors", "rref"):
+            original = getattr(linalg, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("invqm")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, refuse)
+        P = Presentation(3, ("a", "b", "c"), (
+            generator(3, 1) ** 2,
+            commutator(generator(3, 1), generator(3, 2)) * generator(3, 3),
+            commutator(generator(3, 2), generator(3, 3)) ** 2))
+        for Q in (P, circle_bundle_group(2, 3), surface_group(2)):
+            analyze_presentation(Q)
+            analyze_presentation(Q, assert_hyperbolic=True)
+        with pytest.raises(AssertionError):
+            constraint_space(P)

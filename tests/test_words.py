@@ -50,6 +50,10 @@ class TestReduce:
 
 
 class TestGroupOps:
+    def test_empty_word_to_huge_power(self):
+        assert FreeWord(2) ** 10 ** 20 == FreeWord(2)
+        assert FreeWord(2) ** -10 ** 20 == FreeWord(2)
+
     def test_power(self):
         a = generator(2, 1)
         assert power(a, 3).letters == (1, 1, 1)
@@ -167,6 +171,19 @@ class TestParser:
         with pytest.raises(WordSyntaxError) as exc:
             parse_word("[a,b", ["a", "b"])
         assert "line 1" in str(exc.value)
+
+    def test_exponent_beyond_int_conversion_refused(self):
+        # more digits than int() converts by default; refused by its length
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word("b a^" + "9" * 5000, ["a", "b"])
+        assert "exponent of 5000 digits exceeds the parser limit" \
+            in str(exc.value)
+        assert "(line 1, column 5)" in str(exc.value)
+
+    @pytest.mark.parametrize("exponent", ["9" * 20, "-" + "9" * 5000],
+                             ids=["20_digits", "minus_5000_digits"])
+    def test_empty_atom_to_any_power_is_empty(self, exponent):
+        assert parse_word(f"(a A)^{exponent}", ["a", "b"]) == FreeWord(2)
 
 
 class TestPresentation:
