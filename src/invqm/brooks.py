@@ -156,7 +156,7 @@ def _reduced_letter_words(rank: int, max_len: int) -> list[tuple[int, ...]]:
     alphabet = [s * g for g in range(1, rank + 1) for s in (1, -1)]
     words: list[tuple[int, ...]] = [()]
     frontier = words[:]
-    for _ in range(max_len):
+    for _ in range(max_len if rank else 0):  # rank 0: only the empty word
         frontier = [w + (x,) for w in frontier for x in alphabet
                     if not w or w[-1] != -x]
         words.extend(frontier)
@@ -202,7 +202,7 @@ def defect_lower_bound(f: CountingQM, max_len: int) -> DefectCertificate:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     words, layer = 1, 2 * f.rank  # reduced words of length <= k, of length k
-    for _ in range(max_len):
+    for _ in range(max_len if f.rank else 0):  # rank 0: only the empty word
         words, layer = words + layer, layer * (2 * f.rank - 1)
         if words * words > MAX_DEFECT_PAIRS:
             raise ValueError(f"max_len {max_len} at rank {f.rank} gives more "

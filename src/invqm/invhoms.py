@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .linalg import (VecZ, echelon, identity, invariant_factors,
-                     kernel_basis, pair_basis, rank, rref)
+from .linalg import (VecZ, echelon, invariant_factors, kernel_basis,
+                     pair_basis, rank, rref)
 from .magnus import (InvariantHom, WedgeVec, abelianize, doubled_class,
                      quadratic_class)
 from .quotients import relator_abelianization_matrix
@@ -79,12 +79,17 @@ def inv_hom_dim(P: Presentation) -> int:
 
 
 def inv_hom_basis(W: ConstraintSpace) -> tuple[InvariantHom, ...]:
-    """Basis of the annihilator of the constraint space, in reduced
-    row-echelon order over the lexicographic pair basis."""
+    """The annihilator's RREF rows (content 1, positive pivot) over the pair
+    basis: W's kernel vectors with columns reversed, each nonzero only at its
+    free column and pivots before it, mapped back and taken last first."""
     n = W.rank
-    rows = [v.coeffs for v in W.basis]
-    R, _ = rref(kernel_basis(rows) if rows else identity(n * (n - 1) // 2))
-    return tuple(InvariantHom(n, tuple(Fraction(x) for x in row)) for row in R)
+    rows = [v.coeffs[::-1] for v in W.basis] or [[0] * (n * (n - 1) // 2)]
+    basis = []
+    for v in reversed(kernel_basis(rows)):
+        v = v[::-1]
+        sign = 1 if next(filter(None, v)) > 0 else -1
+        basis.append(InvariantHom(n, tuple(Fraction(sign * x) for x in v)))
+    return tuple(basis)
 
 
 def _commutator_lattice_coords(P: Presentation,

@@ -4,14 +4,16 @@ Matrices are dense, row-major lists of lists of ``int`` or
 ``fractions.Fraction``.  Rank, RREF, kernels and determinants all come from
 one fraction-free (Bareiss) echelon routine over ``int``; rational input
 rows are first scaled to integers.  Invariant factors come from a
-diagonal reduction without transforms.  Everything is exact: no floating
-point enters this module.
+diagonal reduction without transforms, and the characteristic polynomial
+from Berkowitz's division-free recursion.  Everything is exact: no
+floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 MatZ = list[list[int]]
@@ -27,11 +29,8 @@ def zeros(m: int, n: int) -> MatZ:
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
-    if not A:
-        return []
-    m, k, n = len(A), len(B), len(B[0]) if B else 0
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
-            for i in range(m)]
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def mat_sub(A, B):
@@ -39,7 +38,7 @@ def mat_sub(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def _integerize_rows(A: Sequence[Sequence]) -> MatZ:
@@ -163,6 +162,24 @@ def det(M: Sequence[Sequence]) -> Fraction:
         return Fraction(0)
     scale = prod(lcm(*(Fraction(x).denominator for x in row)) for row in M)
     return Fraction(sign * (rows[-1][pivots[-1]] if rows else 1), scale)
+
+
+def charpoly(A: Sequence[Sequence[int]]) -> VecZ:
+    """Coefficients of det(xI - A), leading 1 first, without division
+    (Berkowitz 1984): bordering the trailing block A1 by a row R, a column
+    C and a corner a is a lower triangular Toeplitz product with first
+    column 1, -a, -R C, -R A1 C, ..."""
+    p = [1]
+    for i in reversed(range(len(A))):
+        A1 = [row[i + 1:] for row in A[i + 1:]]
+        R, v = A[i][i + 1:], [row[i] for row in A[i + 1:]]
+        q = [1, -A[i][i]]
+        for _ in A1:
+            q.append(-sum(map(mul, R, v)))
+            v = mat_vec(A1, v)
+        p = [sum(q[t - j] * p[j] for j in range(min(t + 1, len(p))))
+             for t in range(len(p) + 1)]
+    return p
 
 
 def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:

@@ -1,11 +1,14 @@
 """Quotient structure: the abelianization of a presented group and the two
 semidirect-product quotient shapes, with their real cohomology dimensions in
 degrees one and two.  Real dimensions are ranks; `abelian_quotient` runs
-the Smith normal form only for its torsion."""
+the Smith normal form only for its torsion.  `h2_dim_semidirect` finds the
+fixed vectors of wedge^2 A inside wedge^2 U, U the reciprocal part of A."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import dropwhile
 
 from . import linalg
 from .linalg import MatZ, exterior_square, invariant_factors, is_symplectic
@@ -81,6 +84,8 @@ class SemidirectQuotient:
         A = self.matrix()
         if len(A) != self.n or any(len(row) != self.n for row in A):
             raise ValueError("matrix must be n x n")
+        if not all(isinstance(x, int) for row in A for x in row):
+            raise ValueError("matrix entries must be integers")
         if not linalg.is_unimodular(A):
             raise ValueError("matrix must have determinant +1 or -1")
         if self.shape == SURFACE:
@@ -111,14 +116,59 @@ def fixed_space_dim(A: MatZ) -> int:
     return linalg.kernel_dim(linalg.mat_sub(linalg.identity(n), A))
 
 
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder (no leading zeros) over Q, leading term first."""
+    a, q = [Fraction(c) for c in a], []
+    while len(a) >= len(b):
+        q.append(a[0] / b[0])
+        a = [x - q[-1] * y for x, y in zip(a, b + [0] * len(a))][1:]
+    return q, list(dropwhile(lambda c: c == 0, a))
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    return (_poly_gcd(b, _poly_divmod(a, b)[1]) if b
+            else [Fraction(c, a[0]) for c in a])
+
+
+def _reciprocal_part(chi: list[int]) -> list[int]:
+    """The factor of chi (full multiplicity) whose roots have their inverses
+    among chi's, peeled off by gcds with x^n chi(1/x), of degree n as
+    chi(0) = +-1.  It is monic over Z by Gauss's lemma, as chi is."""
+    h, rest = _poly_gcd(chi, chi[::-1]), chi
+    while len(h) > 1:
+        rest = _poly_divmod(rest, h)[0]
+        h = _poly_gcd(rest, h)
+    return [int(c) for c in _poly_divmod(chi, rest)[0]]
+
+
 def h2_dim_semidirect(q: SemidirectQuotient) -> int:
     """dim H^2 of the semidirect quotient:
-    dim Ker(I - A) + dim Ker(I - wedge^2 A)."""
+    dim Ker(I - A) + dim Ker(I - wedge^2 A).
+
+    With m the reciprocal part of chi_A, Q^n = U + W for U = ker m(A) and
+    W = ker (chi_A / m)(A); wedge^2 A preserves wedge^2 U, U (x) W and
+    wedge^2 W, and an eigenvalue lambda mu = 1 there makes mu = 1/lambda a
+    root of m.  So only wedge^2 (A|U) - I, C(k, 2) square for k = deg m,
+    is eliminated; for k = n (A symplectic, say) A|U is A."""
     A = q.matrix()
-    A2 = exterior_square(A)
-    m = len(A2)
-    return fixed_space_dim(A) + linalg.kernel_dim(
-        linalg.mat_sub(linalg.identity(m), A2))
+    m = _reciprocal_part(linalg.charpoly(A))
+    k = len(m) - 1
+    if k <= 1:
+        return fixed_space_dim(A)
+    C = A
+    if k < len(A):
+        mA = linalg.identity(len(A))
+        for c in m[1:]:
+            mA = [[x + c * (i == j) for j, x in enumerate(row)]
+                  for i, row in enumerate(linalg.mat_mul(mA, A))]
+        B = linalg.kernel_basis(mA)
+        AB = [linalg.mat_vec(A, u) for u in B]
+        # A u_j = sum_i C_ij u_i; of the u's only u_i is nonzero at f_i,
+        # the last nonzero coordinate of u_i
+        C = [[Fraction(Au[f], u[f]) for Au in AB]
+             for u in B for f in [max(i for i, x in enumerate(u) if x)]]
+    return fixed_space_dim(A) + linalg.kernel_dim(linalg.mat_sub(
+        linalg.identity(k * (k - 1) // 2), exterior_square(C)))
 
 
 def h2_dim_total_space(q: SemidirectQuotient) -> int:

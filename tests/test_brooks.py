@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,15 @@ class TestDefect:
         # 1 + 4 + 4*3 reduced words of length <= 2
         assert len(words) == 17
         assert len(set(words)) == 17
+
+    def test_rank_zero_stops_at_the_empty_layer(self):
+        start = time.perf_counter()
+        for mode in (BIG, LITTLE):
+            cert = defect_lower_bound(CountingQM(0, (), mode), 10 ** 9)
+            assert cert.bound == 0
+            assert cert.witness == (FreeWord(0), FreeWord(0))
+        assert list(reduced_words_up_to(0, 10 ** 9)) == [FreeWord(0)]
+        assert time.perf_counter() - start < 1
 
     def test_pair_limit_boundary(self, monkeypatch):
         # 17 reduced words of length <= 2 at rank 2, so 289 pairs

@@ -2,16 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_commutator_word, rand_word
 from invqm.engine import (circle_bundle_group, free_group,
                           one_relator_power_group, remark_group,
                           surface_group)
-from invqm.invhoms import (NotInCommutatorSubgroupError, constraint_space,
-                           evaluate_on_quotient, inv_hom_basis, inv_hom_dim)
+from invqm.invhoms import (ConstraintSpace, NotInCommutatorSubgroupError,
+                           constraint_space, evaluate_on_quotient,
+                           inv_hom_basis, inv_hom_dim)
+from invqm.linalg import identity, kernel_basis, rref
 from invqm.magnus import InvariantHom, WedgeVec, hom_eval
 from invqm.words import (FreeWord, Presentation, commutator, conjugate,
                          generator, parse_presentation, parse_word)
+from test_engine import presentations
 
 
 def surface_class(l):
@@ -92,6 +97,32 @@ class TestBasis:
             for phi in basis:
                 for b in W.basis:
                     assert phi.pair(b) == 0
+
+    @staticmethod
+    def rref_of_kernel(W):
+        """The annihilator's RREF by eliminating its kernel basis again."""
+        n = W.rank
+        rows = [v.coeffs for v in W.basis]
+        R, _ = rref(kernel_basis(rows) if rows else identity(n * (n - 1) // 2))
+        return tuple(InvariantHom(n, tuple(Fraction(x) for x in row))
+                     for row in R)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(presentations())
+    def test_matches_second_elimination_on_presentations(self, P):
+        W = constraint_space(P)
+        assert inv_hom_basis(W) == self.rref_of_kernel(W)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2), max_size=n * (n - 1) // 2))))
+    def test_matches_second_elimination_on_any_rref(self, n_rows):
+        n, rows = n_rows
+        W = ConstraintSpace(n, tuple(
+            WedgeVec(n, tuple(Fraction(x) for x in row))
+            for row in rref(rows)[0]))
+        assert inv_hom_basis(W) == self.rref_of_kernel(W)
 
     def test_basis_independent(self):
         from invqm.linalg import rank

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from invqm.linalg import (det, exterior_square, identity, invariant_factors,
-                          is_symplectic, kernel_basis, mat_mul, mat_vec,
-                          pair_basis, rank, rref)
+from invqm.linalg import (charpoly, det, exterior_square, identity,
+                          invariant_factors, is_symplectic, kernel_basis,
+                          mat_mul, mat_vec, pair_basis, rank, rref)
 
 
 def rand_mat_q(rng, m, n, max_num=6, max_den=4):
@@ -116,6 +116,14 @@ class TestSympyOracle:
             expected = [abs(int(d)) for d in
                         oracle(sympy.Matrix(A), domain=sympy.ZZ) if d != 0]
             assert invariant_factors(A) == expected
+
+    def test_charpoly(self, rng, sympy):
+        assert charpoly([]) == [1]
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            A = rand_mat_z(rng, n, n, bound=rng.choice((1, 3, 40)))
+            expected = sympy.Matrix(A).charpoly().all_coeffs()
+            assert charpoly(A) == [int(c) for c in expected]
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_rank_det_rref(self, rng, sympy, rational):
