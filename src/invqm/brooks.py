@@ -48,9 +48,6 @@ class CountingQM:
             if w.rank != self.rank:
                 raise ValueError("base word rank mismatch")
 
-    def __call__(self, x: FreeWord) -> Fraction:
-        return qm_eval(self, x)
-
 
 def _count_big(pattern: tuple[int, ...], text: tuple[int, ...]) -> int:
     k = len(pattern)
@@ -163,13 +160,6 @@ def _reduced_letter_words(rank: int, max_len: int) -> list[tuple[int, ...]]:
     return words
 
 
-def reduced_words_up_to(rank: int, max_len: int) -> Iterator[FreeWord]:
-    """All freely reduced words of length <= max_len, breadth first, letters
-    ordered 1, -1, 2, -2, ...; deterministic for witness reproducibility."""
-    for letters in _reduced_letter_words(rank, max_len):
-        yield FreeWord(rank, letters)
-
-
 def _pairs(words: list[tuple[int, ...]]
            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Every ordered pair (x, y), x outer, with the number c of letters of
@@ -187,8 +177,8 @@ def _pairs(words: list[tuple[int, ...]]
 def defect_lower_bound(f: CountingQM, max_len: int) -> DefectCertificate:
     """Exhaustive maximum of |f(xy) - f(x) - f(y)| over reduced pairs with
     |x|, |y| <= max_len; monotone nondecreasing in max_len.  The witness is
-    the first pair, x outer and y inner in reduced_words_up_to order, that
-    attains the maximum.
+    the first pair, x outer and y inner in `_reduced_letter_words` order,
+    that attains the maximum.
 
     Coefficients are scaled to integers.  Write x = a t and y = t^-1 b with
     x y = a b reduced, let s + 1 be the longest pattern length, a' the last

@@ -22,9 +22,8 @@ from .brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
 from .engine import DimensionReport, PreconditionError
 from .magnus import InvariantHom, wedge_class
 from .quotients import free_quotient, surface_quotient
-from .words import (FreeWord, Presentation, UnknownGeneratorError,
-                    WordSyntaxError, generator, parse_presentation, parse_word,
-                    render)
+from .words import (MAX_PARSED_LETTERS, FreeWord, Presentation,
+                    WordSyntaxError, parse_presentation, parse_word, render)
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +136,14 @@ def report_lines(report: DimensionReport) -> list[str]:
     return lines
 
 
+def _refuse_unread(args, command: str, options) -> None:
+    """Refuse any of the given options, none of which `command` reads."""
+    for option in options:
+        value = getattr(args, option.replace("-", "_"))
+        if value is not None and value is not False:
+            raise CliError(f"{command} does not take --{option}")
+
+
 def split_names(text: str) -> list[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
     if not names:
@@ -210,15 +217,14 @@ PRESET_OPTIONS = {
 
 def cmd_preset(args) -> int:
     used = PRESET_OPTIONS[args.name]
+    options = ("genus", "rank", "power", "count", "euler", "matrix")
+    _refuse_unread(args, f"preset {args.name}",
+                   [option for option in options if option not in used])
     kwargs = {}
-    for option in ("genus", "rank", "power", "count", "euler", "matrix"):
+    for option, key in used.items():
         value = getattr(args, option)
-        if value is None:
-            continue
-        if option not in used:
-            raise CliError(f"preset {args.name} does not take --{option}")
-        kwargs[used[option]] = (load_matrix(value) if option == "matrix"
-                                else value)
+        if value is not None:
+            kwargs[key] = load_matrix(value) if option == "matrix" else value
     try:
         report = engine.preset(args.name, **kwargs)
     except ValueError as exc:
@@ -228,6 +234,9 @@ def cmd_preset(args) -> int:
 
 
 def cmd_torus(args) -> int:
+    _refuse_unread(args, f"torus --shape {args.shape}",
+                   ("rank", "assert-atoroidal") if args.shape == "surface"
+                   else ("genus",))
     A = load_matrix(args.matrix)
     try:
         if args.shape == "surface":
@@ -255,7 +264,7 @@ def cmd_invhoms(args) -> int:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "dim": len(basis),
-        "basis": [[[i, j, rat_str(c)] for i, j, c in _hom_pairs(phi)]
+        "basis": [[[i, j, rat_str(c)] for i, j, c in phi.pairs() if c != 0]
                   for phi in basis],
         "constraints": [[[i, j, rat_str(c)] for i, j, c in v.pairs()
                          if c != 0] for v in W.basis],
@@ -264,12 +273,6 @@ def cmd_invhoms(args) -> int:
              f"dim constraint space = {W.dim}"]
     emit(obj, args.json, lines)
     return 0
-
-
-def _hom_pairs(phi: InvariantHom):
-    from .linalg import pair_basis
-    return [(i, j, c) for (i, j), c in zip(pair_basis(phi.rank), phi.coeffs)
-            if c != 0]
 
 
 def cmd_wedge(args) -> int:
@@ -290,6 +293,8 @@ def cmd_wedge(args) -> int:
 
 
 def cmd_transgress(args) -> int:
+    if args.cup_matrix:
+        _refuse_unread(args, "transgress --cup-matrix", ("pairs",))
     try:
         i_text, j_text = args.hom.split(",")
         i, j = int(i_text), int(j_text)
@@ -330,6 +335,11 @@ def cmd_transgress(args) -> int:
                       for i, g in enumerate(entry, 1))
         except CliError as exc:
             raise CliError(f"pair {k}: {exc}") from exc
+        # the section words of g1, g2 and g1 + g2 are built letter by letter
+        letters = sum(map(abs, g1 + g2 + [a + b for a, b in zip(g1, g2)]))
+        if letters > MAX_PARSED_LETTERS:
+            raise CliError(f"pair {k}: section words of {letters} letters "
+                           f"exceed the limit of {MAX_PARSED_LETTERS}")
         results.append({"g1": g1, "g2": g2, "value": rat_str(t(g1, g2))})
     obj = {"schema_version": SCHEMA_VERSION, "values": results}
     emit(obj, args.json,
@@ -346,23 +356,23 @@ def _checked(fn, *args):
 
 
 def cmd_qm(args) -> int:
+    if args.action != "bavard":
+        unread = "word" if args.action == "defect" else "maxlen"
+        _refuse_unread(args, f"qm {args.action}", ("defect-upper", unread))
+    elif args.defect_upper is not None:
+        _refuse_unread(args, "qm bavard --defect-upper", ("maxlen",))
+    max_len = 2 if args.maxlen is None else args.maxlen
     names = split_names(args.gens)
     f = _checked(CountingQM, len(names), parse_terms(args.terms, names),
                  args.mode)
-    if args.action == "eval":
+    if args.action in ("eval", "homog"):
         x = parse_letterwise(_require_word(args), names)
-        value = qm_eval(f, x)
-        emit({"schema_version": SCHEMA_VERSION, "value": rat_str(value)},
-             args.json, [rat_str(value)])
-        return 0
-    if args.action == "homog":
-        x = parse_letterwise(_require_word(args), names)
-        value = homogenize_eval(f, x)
+        value = (qm_eval if args.action == "eval" else homogenize_eval)(f, x)
         emit({"schema_version": SCHEMA_VERSION, "value": rat_str(value)},
              args.json, [rat_str(value)])
         return 0
     if args.action == "defect":
-        cert = _checked(defect_lower_bound, f, args.maxlen)
+        cert = _checked(defect_lower_bound, f, max_len)
         x, y = cert.witness
         obj = {"schema_version": SCHEMA_VERSION,
                "bound": rat_str(cert.bound), "kind": cert.kind,
@@ -375,7 +385,7 @@ def cmd_qm(args) -> int:
     if args.action == "bavard":
         x = parse_letterwise(_require_word(args), names)
         if args.defect_upper is None:
-            cert = _checked(defect_lower_bound, f, args.maxlen)
+            cert = _checked(defect_lower_bound, f, max_len)
             value = homogenize_eval(f, x)
             bound = (abs(value) / (2 * cert.bound)
                      if cert.bound > 0 else Fraction(0))
@@ -463,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True)
     p.add_argument("--mode", choices=[BIG, LITTLE], default=BIG)
     p.add_argument("--word")
-    p.add_argument("--maxlen", type=int, default=2)
+    p.add_argument("--maxlen", type=int, help="default 2")
     p.add_argument("--kmax", type=int,
                    help="no effect: homogenization is exact; accepted so "
                         "that older command lines still run")
@@ -479,10 +489,7 @@ def main(argv=None) -> int:
         # by name on each call, so a cmd_* function replaced after the
         # shared parser was built still takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except CliError as exc:
-        print(f"invqm: {exc}", file=sys.stderr)
-        return 2
-    except (WordSyntaxError, UnknownGeneratorError, PreconditionError) as exc:
+    except (CliError, WordSyntaxError, PreconditionError) as exc:
         print(f"invqm: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -60,7 +60,7 @@ def _constraint_rows(P: Presentation) -> list[VecZ]:
     rows = [[(i == j) * mu[k - 1] - (k == j) * mu[i - 1]
              for i, k in pair_basis(n)]
             for mu in filter(any, R) for j in range(1, n + 1)]
-    lifted, pivots, _ = echelon(
+    lifted, pivots = echelon(
         [mu + doubled_class(r) for mu, r in zip(R, P.relators)])
     return rows + [row[n:] for row, p in zip(lifted, pivots) if p >= n]
 

@@ -1,18 +1,19 @@
 """Exact rational and integer linear algebra.
 
 Matrices are dense, row-major lists of lists of ``int`` or
-``fractions.Fraction``.  Rank, RREF, kernels and determinants all come from
-one fraction-free (Bareiss) echelon routine over ``int``; rational input
-rows are first scaled to integers.  Invariant factors come from a
-diagonal reduction without transforms, and the characteristic polynomial
-from Berkowitz's division-free recursion.  Everything is exact: no
+``fractions.Fraction``.  Rank, RREF, kernels and unimodularity all come
+from one fraction-free (Bareiss) echelon routine over ``int``; rational
+input rows are first scaled to integers.  No determinant is formed:
+unimodularity is read off the last Bareiss pivot.  Invariant factors come
+from a diagonal reduction without transforms, and the characteristic
+polynomial from Berkowitz's division-free recursion.  Everything is exact: no
 floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -22,10 +23,6 @@ VecZ = list[int]
 
 def identity(n: int) -> MatZ:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int) -> MatZ:
-    return [[0] * n for _ in range(m)]
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
@@ -64,22 +61,20 @@ def _primitive(v: VecZ) -> VecZ:
     return [x // g for x in v]
 
 
-def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int], int]:
+def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int]]:
     """Fraction-free forward elimination (Bareiss 1968) of an integerized
     copy of the nonzero rows of A.
 
-    Returns the nonzero echelon rows, their pivot columns and the sign of
-    the permutation of the nonzero rows (all of A's rows when A is square
-    of full rank, the only case `det` reads it in).  Every entry stays an integer minor of the
-    integerized, row-permuted input; the pivot of echelon row k is the
-    leading (k+1)-minor on the pivot columns, so the last pivot is the
-    determinant of the full pivot minor.
+    Returns the nonzero echelon rows and their pivot columns.  Every entry
+    stays an integer minor of the integerized, row-permuted input; the
+    pivot of echelon row k is the leading (k+1)-minor on the pivot columns,
+    so the last pivot is, up to sign, the determinant of the full pivot
+    minor.
     """
     A = _integerize_rows(A)
     m = len(A)
     n = len(A[0]) if m else 0
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for c in range(n):
         r = len(pivots)
@@ -88,9 +83,7 @@ def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int], int]:
         piv = next((i for i in range(r, m) if A[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            sign = -sign
+        A[r], A[piv] = A[piv], A[r]
         top = A[r]
         p = top[c]
         for i in range(r + 1, m):
@@ -98,7 +91,7 @@ def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int], int]:
             A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
         prev = p
         pivots.append(c)
-    return A[:len(pivots)], pivots, sign
+    return A[:len(pivots)], pivots
 
 
 def rank(M: Sequence[Sequence]) -> int:
@@ -114,7 +107,7 @@ def rref(M: Sequence[Sequence]) -> tuple[MatZ, list[int]]:
     fractions: with d the last pivot, d times the RREF is integral, and
     row k of it is (d E_k - sum_{j>k} E_k[p_j] R_j) / E_k[p_k].
     """
-    rows, pivots, _ = echelon(M)
+    rows, pivots = echelon(M)
     if rows:
         d = rows[-1][pivots[-1]]
         for k in range(len(rows) - 2, -1, -1):
@@ -152,16 +145,6 @@ def kernel_basis(M: Sequence[Sequence]) -> list[VecZ]:
 def kernel_dim(M: Sequence[Sequence]) -> int:
     n = len(M[0]) if M else 0
     return n - rank(M)
-
-
-def det(M: Sequence[Sequence]) -> Fraction:
-    """Sign times the last Bareiss pivot, over the row-integerization
-    scales; exact on rational input."""
-    rows, pivots, sign = echelon(M)
-    if len(pivots) < len(M):
-        return Fraction(0)
-    scale = prod(lcm(*(Fraction(x).denominator for x in row)) for row in M)
-    return Fraction(sign * (rows[-1][pivots[-1]] if rows else 1), scale)
 
 
 def charpoly(A: Sequence[Sequence[int]]) -> VecZ:
@@ -244,10 +227,6 @@ def pair_basis(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(pair_basis(n))}
-
-
 def exterior_square(A: Sequence[Sequence]) -> list[list]:
     """Induced map on the wedge square; entry ((i,j),(k,l)) is the 2x2 minor
     A[ik]A[jl] - A[il]A[jk] (1-based pairs, lexicographic order)."""
@@ -271,13 +250,13 @@ def is_symplectic(A: Sequence[Sequence[int]]) -> bool:
     if n % 2 != 0 or any(len(row) != n for row in A):
         raise ValueError("is_symplectic needs an even-dimensional square matrix")
     l = n // 2
-    J = zeros(n, n)
-    for i in range(l):
-        J[i][l + i] = 1
-        J[l + i][i] = -1
+    J = [[(j == i + l) - (i == j + l) for j in range(n)] for i in range(n)]
     At = [list(col) for col in zip(*A)]
     return mat_mul(mat_mul(At, J), A) == J
 
 
 def is_unimodular(A: Sequence[Sequence[int]]) -> bool:
-    return abs(det(A)) == 1
+    """True iff the square integer matrix A has determinant +1 or -1: full
+    rank, and a last Bareiss pivot (the determinant up to sign) of +-1."""
+    rows, pivots = echelon(A)
+    return len(pivots) == len(A) and (not A or abs(rows[-1][pivots[-1]]) == 1)

@@ -6,6 +6,8 @@ the wedge part of the image of the word in the free nilpotent quotient of
 class 2; on the commutator subgroup it is the wedge class, identified with
 the wedge square of Q^n over the lexicographic pair basis, with [a_k, a_l]
 sent to e_k wedge e_l.  One integer routine (`doubled_class`) computes it.
+An invariant homomorphism is a `WedgeVec` read as a functional on wedge
+classes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .linalg import VecZ, pair_basis, pair_index
-from .words import FreeWord, exponent_sums
+from .linalg import VecZ, pair_basis
+from .words import FreeWord
 
 
 class NonzeroAbelianizationError(ValueError):
@@ -23,8 +25,11 @@ class NonzeroAbelianizationError(ValueError):
 
 
 def abelianize(w: FreeWord) -> VecZ:
-    """Signed exponent-sum vector of w."""
-    return exponent_sums(w)
+    """Signed exponent sum of each generator (the abelianization vector)."""
+    sums = [0] * w.rank
+    for x in w.letters:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return sums
 
 
 @dataclass(frozen=True)
@@ -44,25 +49,25 @@ class WedgeVec:
     def zero(rank: int) -> "WedgeVec":
         return WedgeVec(rank, (Fraction(0),) * (rank * (rank - 1) // 2))
 
-    @staticmethod
-    def basis_element(rank: int, i: int, j: int) -> "WedgeVec":
+    @classmethod
+    def basis_element(cls, rank: int, i: int, j: int) -> "WedgeVec":
         """e_i wedge e_j for i < j."""
         coeffs = [Fraction(0)] * (rank * (rank - 1) // 2)
-        coeffs[pair_index(rank)[(i, j)]] = Fraction(1)
-        return WedgeVec(rank, tuple(coeffs))
+        coeffs[pair_basis(rank).index((i, j))] = Fraction(1)
+        return cls(rank, tuple(coeffs))
 
     def __add__(self, other: "WedgeVec") -> "WedgeVec":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return WedgeVec(self.rank,
-                        tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(self.rank, tuple(
+            a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "WedgeVec") -> "WedgeVec":
         return self + (-1) * other
 
     def __rmul__(self, c) -> "WedgeVec":
         c = Fraction(c)
-        return WedgeVec(self.rank, tuple(c * a for a in self.coeffs))
+        return type(self)(self.rank, tuple(c * a for a in self.coeffs))
 
     def pairs(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, c)
@@ -109,55 +114,25 @@ def wedge_class(w: FreeWord) -> WedgeVec:
     return quadratic_class(w)
 
 
-@dataclass(frozen=True)
-class InvariantHom:
+class InvariantHom(WedgeVec):
     """A conjugation-invariant homomorphism on the commutator subgroup,
     given as a linear functional on wedge classes (dual coefficients over
     the lexicographic pair basis)."""
 
-    rank: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        expected = self.rank * (self.rank - 1) // 2
-        if len(self.coeffs) != expected:
-            raise ValueError(f"need {expected} coefficients, got {len(self.coeffs)}")
-
-    @staticmethod
-    def alpha(rank: int, i: int, j: int) -> "InvariantHom":
+    @classmethod
+    def alpha(cls, rank: int, i: int, j: int) -> "InvariantHom":
         """The basis functional sending [a_i, a_j] to 1 and every other
         basis commutator to 0."""
         if not (1 <= i < j <= rank):
             raise IndexError(f"need 1 <= i < j <= {rank}")
-        coeffs = [Fraction(0)] * (rank * (rank - 1) // 2)
-        coeffs[pair_index(rank)[(i, j)]] = Fraction(1)
-        return InvariantHom(rank, tuple(coeffs))
-
-    def __add__(self, other: "InvariantHom") -> "InvariantHom":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return InvariantHom(self.rank,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, c) -> "InvariantHom":
-        c = Fraction(c)
-        return InvariantHom(self.rank, tuple(c * a for a in self.coeffs))
+        return cls.basis_element(rank, i, j)
 
     def pair(self, v: WedgeVec) -> Fraction:
         if self.rank != v.rank:
             raise ValueError("rank mismatch")
         return sum((a * b for a, b in zip(self.coeffs, v.coeffs)), Fraction(0))
 
-    def __call__(self, w: FreeWord) -> Fraction:
-        return self.pair(wedge_class(w))
-
 
 def hom_eval(phi: InvariantHom, w: FreeWord) -> Fraction:
-    return phi(w)
-
-
-def alpha_eval(i: int, j: int, w: FreeWord) -> Fraction:
-    """Coefficient (i, j) of the wedge class of w."""
-    if not (1 <= i < j <= w.rank):
-        raise IndexError(f"need 1 <= i < j <= {w.rank}")
-    return wedge_class(w).coeffs[pair_index(w.rank)[(i, j)]]
+    """Value of phi on a commutator-subgroup word."""
+    return phi.pair(wedge_class(w))

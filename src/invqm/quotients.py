@@ -1,8 +1,9 @@
 """Quotient structure: the abelianization of a presented group and the two
 semidirect-product quotient shapes, with their real cohomology dimensions in
-degrees one and two.  Real dimensions are ranks; `abelian_quotient` runs
-the Smith normal form only for its torsion.  `h2_dim_semidirect` finds the
-fixed vectors of wedge^2 A inside wedge^2 U, U the reciprocal part of A."""
+degree two (in degree one it is the free rank).  Real dimensions are ranks;
+`abelian_quotient` runs the Smith normal form only for its torsion.
+`h2_dim_semidirect` finds the fixed vectors of wedge^2 A inside wedge^2 U,
+U the reciprocal part of A, by one integer elimination."""
 
 from __future__ import annotations
 
@@ -44,11 +45,6 @@ def abelian_quotient(P: Presentation) -> AbelianQuotient:
     factors = invariant_factors(relator_abelianization_matrix(P))
     return AbelianQuotient(P.rank - len(factors),
                            tuple(d for d in factors if d > 1))
-
-
-def h1_dim(q: AbelianQuotient) -> int:
-    """dim of degree-one real cohomology; torsion contributes nothing."""
-    return q.free_rank
 
 
 def h2_dim(q: AbelianQuotient) -> int:
@@ -149,26 +145,25 @@ def h2_dim_semidirect(q: SemidirectQuotient) -> int:
     W = ker (chi_A / m)(A); wedge^2 A preserves wedge^2 U, U (x) W and
     wedge^2 W, and an eigenvalue lambda mu = 1 there makes mu = 1/lambda a
     root of m.  So only wedge^2 (A|U) - I, C(k, 2) square for k = deg m,
-    is eliminated; for k = n (A symplectic, say) A|U is A."""
+    matters.  One path serves every k: U has the basis kernel_basis(m(A))
+    (the standard one for k = n, as m(A) = chi_A(A) = 0), and only u_i is
+    nonzero at f_i, the last nonzero coordinate of u_i.  So A|U = D^-1 G,
+    G_ij = (A u_j)[f_i], D = diag(u_i[f_i]); as wedge^2 (D^-1 G) - I =
+    wedge^2 D^-1 (wedge^2 G - wedge^2 D), the integer matrix
+    wedge^2 G - diag(d_i d_j) is eliminated."""
     A = q.matrix()
     m = _reciprocal_part(linalg.charpoly(A))
-    k = len(m) - 1
-    if k <= 1:
-        return fixed_space_dim(A)
-    C = A
-    if k < len(A):
-        mA = linalg.identity(len(A))
-        for c in m[1:]:
-            mA = [[x + c * (i == j) for j, x in enumerate(row)]
-                  for i, row in enumerate(linalg.mat_mul(mA, A))]
-        B = linalg.kernel_basis(mA)
-        AB = [linalg.mat_vec(A, u) for u in B]
-        # A u_j = sum_i C_ij u_i; of the u's only u_i is nonzero at f_i,
-        # the last nonzero coordinate of u_i
-        C = [[Fraction(Au[f], u[f]) for Au in AB]
-             for u in B for f in [max(i for i, x in enumerate(u) if x)]]
-    return fixed_space_dim(A) + linalg.kernel_dim(linalg.mat_sub(
-        linalg.identity(k * (k - 1) // 2), exterior_square(C)))
+    mA = linalg.identity(len(A))
+    for c in m[1:]:
+        mA = [[x + c * (i == j) for j, x in enumerate(row)]
+              for i, row in enumerate(linalg.mat_mul(mA, A))]
+    B = linalg.kernel_basis(mA)
+    f = [max(i for i, x in enumerate(u) if x) for u in B]
+    AB = [linalg.mat_vec(A, u) for u in B]
+    M = exterior_square([[Au[fi] for Au in AB] for fi in f])
+    for r, (i, j) in enumerate(linalg.pair_basis(len(B))):
+        M[r][r] -= B[i - 1][f[i - 1]] * B[j - 1][f[j - 1]]
+    return fixed_space_dim(A) + linalg.kernel_dim(M)
 
 
 def h2_dim_total_space(q: SemidirectQuotient) -> int:

@@ -72,16 +72,9 @@ class FreeWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def _check_rank(self, other: "FreeWord") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(
-                f"rank {self.rank} != rank {other.rank}")
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        self._check_rank(other)
+        if self.rank != other.rank:
+            raise RankMismatchError(f"rank {self.rank} != rank {other.rank}")
         u, v = self.letters, other.letters
         n = len(u)
         m = min(n, len(v))
@@ -107,11 +100,6 @@ class FreeWord:
             self.rank, letters[:t] + letters[t:n - t] * k + letters[n - t:])
 
 
-def word(rank: int, letters: Sequence[int]) -> FreeWord:
-    """Build a reduced word from signed generator indices."""
-    return FreeWord(rank, tuple(letters))
-
-
 def generator(rank: int, i: int) -> FreeWord:
     return FreeWord(rank, (i,))
 
@@ -134,18 +122,6 @@ def conjugate(g: FreeWord, w: FreeWord) -> FreeWord:
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()
-
-
-def exponent_sums(w: FreeWord) -> list[int]:
-    """Signed exponent sum of each generator (the abelianization vector)."""
-    sums = [0] * w.rank
-    for x in w.letters:
-        sums[abs(x) - 1] += 1 if x > 0 else -1
-    return sums
-
-
-def is_in_commutator_subgroup(w: FreeWord) -> bool:
-    return all(s == 0 for s in exponent_sums(w))
 
 
 # --- presentation DSL -------------------------------------------------------

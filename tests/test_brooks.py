@@ -9,7 +9,7 @@ from conftest import rand_word
 from invqm import brooks
 from invqm.brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
                           bavard_lower_bound, defect_lower_bound,
-                          homogenize_eval, qm_eval, reduced_words_up_to)
+                          homogenize_eval, qm_eval)
 from invqm.words import FreeWord
 
 _NAMES = "ab"
@@ -44,10 +44,23 @@ def conjugation_invariance_check(f, samples):
     return report
 
 
+def reduced_words_up_to(rank, max_len):
+    """All freely reduced words of length <= max_len, breadth first, letters
+    ordered 1, -1, 2, -2, ...: the order the defect witness is taken in."""
+    alphabet = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    layer = [()]
+    words = [FreeWord(rank)]
+    for _ in range(max_len if rank else 0):
+        layer = [w + (x,) for w in layer for x in alphabet
+                 if not w or w[-1] != -x]
+        words += [FreeWord(rank, w) for w in layer]
+    return words
+
+
 def enumerated_defect(f, max_len):
     """max |f(xy) - f(x) - f(y)| with f evaluated on whole words, and the
     first pair that attains it."""
-    words = list(reduced_words_up_to(f.rank, max_len))
+    words = reduced_words_up_to(f.rank, max_len)
     best, witness = Fraction(0), (words[0], words[0])
     for x in words:
         for y in words:
@@ -186,7 +199,8 @@ class TestDefect:
         assert bounds == sorted(bounds)
 
     def test_enumeration_order(self):
-        words = list(reduced_words_up_to(2, 2))
+        words = reduced_words_up_to(2, 2)
+        assert [w.letters for w in words] == brooks._reduced_letter_words(2, 2)
         assert words[0] == FreeWord(2)
         assert [w.letters for w in words[1:5]] == [(1,), (-1,), (2,), (-2,)]
         # 1 + 4 + 4*3 reduced words of length <= 2
@@ -199,7 +213,7 @@ class TestDefect:
             cert = defect_lower_bound(CountingQM(0, (), mode), 10 ** 9)
             assert cert.bound == 0
             assert cert.witness == (FreeWord(0), FreeWord(0))
-        assert list(reduced_words_up_to(0, 10 ** 9)) == [FreeWord(0)]
+        assert brooks._reduced_letter_words(0, 10 ** 9) == [()]
         assert time.perf_counter() - start < 1
 
     def test_pair_limit_boundary(self, monkeypatch):

@@ -1,9 +1,13 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from invqm.cli import main, rat_str
+from invqm import cli
+from invqm.cli import CliError, main, rat_str
+from invqm.engine import PreconditionError
+from invqm.words import UnknownGeneratorError, WordSyntaxError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -227,6 +231,30 @@ class TestTransgress:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_section_words_beyond_the_letter_limit_exit_2(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text("[[[1,0],[0,1]],[[100000000,0],[0,1]]]")
+        start = time.perf_counter()
+        assert main(["transgress", "--hom", "1,2", "--rank", "2",
+                     "--pairs", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", "invqm: pair 2: section words of 200000002 letters exceed "
+                "the limit of 1000000\n")
+
+    def test_letter_limit_boundary(self, capsys, tmp_path, monkeypatch):
+        # |g1| + |g2| + |g1 + g2| letters, the sum taken entrywise
+        monkeypatch.setattr(cli, "MAX_PARSED_LETTERS", 10)
+        path = tmp_path / "pairs.json"
+        for pairs, rc in (("[[[3,0],[2,0]]]", 0), ("[[[3,-1],[2,0]]]", 2),
+                          ("[[[3,1],[-3,1]]]", 0), ("[[[3,0],[3,0]]]", 2)):
+            path.write_text(pairs)
+            assert main(["transgress", "--hom", "1,2", "--rank", "2",
+                         "--pairs", str(path)]) == rc
+            assert ("exceed the limit of 10" in capsys.readouterr().err) \
+                == (rc == 2)
+
     def test_cup_matrix(self, capsys):
         rc, out = run(capsys, ["transgress", "--hom", "1,2", "--rank", "2",
                                "--cup-matrix", "--json"])
@@ -295,6 +323,134 @@ class TestQm:
                     + argv[1:]) == 2
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
+
+
+class TestExactOutput:
+    """Whole stdout or stderr and exit code of the branches `main` and
+    `cmd_qm` share between commands."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["qm", "eval", "--terms", "ab:1,BA:-1", "--gens", "a,b",
+          "--word", "abab"], "2\n"),
+        (["qm", "eval", "--terms", "ab:1,BA:-1", "--gens", "a,b",
+          "--word", "abab", "--json"], '{"schema_version":1,"value":"2"}\n'),
+        (["qm", "eval", "--mode", "little", "--terms", "aa:1,b:-2/3",
+          "--gens", "a,b", "--word", "aaaab"], "4/3\n"),
+        (["qm", "homog", "--terms", "ab:1/2,BA:-1", "--gens", "a,b",
+          "--word", "abAB"], "1/2\n"),
+        (["qm", "homog", "--terms", "ab:1/2,BA:-1", "--gens", "a,b",
+          "--word", "abAB", "--json"],
+         '{"schema_version":1,"value":"1/2"}\n'),
+        (["qm", "homog", "--mode", "little", "--terms", "aa:1", "--gens", "a",
+          "--word", "a", "--json"], '{"schema_version":1,"value":"1/2"}\n'),
+        (["invhoms", str(GOLDEN / "invhoms" / "surface_l2.grp")],
+         "dim H1(N)^G = 5\ndim constraint space = 1\n"),
+        (["invhoms", str(GOLDEN / "invhoms" / "circle_bundle_l2_n3.grp")],
+         "dim H1(N)^G = 6\ndim constraint space = 4\n"),
+        (["invhoms", str(GOLDEN / "invhoms" / "torsion_mixed.grp")],
+         "dim H1(N)^G = 2\ndim constraint space = 4\n"),
+    ])
+    def test_stdout(self, capsys, argv, out):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["wedge", "c", "--gens", "a,b"],
+         "invqm: unknown generator 'c' (line 1, column 1)\n"),
+        (["qm", "eval", "--terms", "ab:1", "--gens", "a,b", "--word",
+          "a^-99999999"],
+         "invqm: exponent of 8 digits exceeds the parser limit of 1000000 "
+         "letters (line 1, column 3)\n"),
+        (["preset", "surface", "--genus", "1"],
+         "invqm: surface needs genus l >= 2\n"),
+        (["analyze", "missing.grp"],
+         "invqm: presentation file not found: missing.grp\n"),
+    ])
+    def test_refusal_stderr(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("exc, err", [
+        (lambda: CliError("bad input"), "invqm: bad input\n"),
+        (lambda: WordSyntaxError("bad token", 2, 5),
+         "invqm: bad token (line 2, column 5)\n"),
+        (lambda: UnknownGeneratorError("unknown generator 'x'", 1, 3),
+         "invqm: unknown generator 'x' (line 1, column 3)\n"),
+        (lambda: PreconditionError("need rank > 1"),
+         "invqm: need rank > 1\n"),
+    ], ids=["CliError", "WordSyntaxError", "UnknownGeneratorError",
+            "PreconditionError"])
+    def test_each_mapped_class_exits_2(self, capsys, monkeypatch, exc, err):
+        def raising(args):
+            raise exc()
+        monkeypatch.setattr(cli, "cmd_wedge", raising)
+        assert main(["wedge", "[a,b]", "--gens", "a,b"]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+class TestUnreadOptions:
+    """Options a command would not read are refused, not ignored."""
+
+    I4 = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    QM = ["--terms", "ab:1", "--gens", "a,b"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["torus", "--shape", "surface", "--genus", "2", "--matrix", I4,
+          "--assert-atoroidal"],
+         "torus --shape surface does not take --assert-atoroidal"),
+        (["torus", "--shape", "surface", "--genus", "2", "--matrix", I4,
+          "--rank", "4"], "torus --shape surface does not take --rank"),
+        (["torus", "--shape", "free", "--matrix", I4, "--genus", "0"],
+         "torus --shape free does not take --genus"),
+        (["qm", "defect", *QM, "--word", "ab"],
+         "qm defect does not take --word"),
+        (["qm", "defect", *QM, "--defect-upper", "2"],
+         "qm defect does not take --defect-upper"),
+        (["qm", "eval", *QM, "--word", "ab", "--defect-upper", "2"],
+         "qm eval does not take --defect-upper"),
+        (["qm", "homog", *QM, "--word", "ab", "--defect-upper", "2"],
+         "qm homog does not take --defect-upper"),
+        (["qm", "eval", *QM, "--word", "ab", "--maxlen", "2"],
+         "qm eval does not take --maxlen"),
+        (["qm", "homog", *QM, "--word", "ab", "--maxlen", "3"],
+         "qm homog does not take --maxlen"),
+        (["qm", "bavard", *QM, "--word", "ab", "--defect-upper", "2",
+          "--maxlen", "2"],
+         "qm bavard --defect-upper does not take --maxlen"),
+        (["transgress", "--hom", "1,2", "--rank", "2", "--cup-matrix",
+          "--pairs", "pairs.json"],
+         "transgress --cup-matrix does not take --pairs"),
+    ])
+    def test_refused_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"invqm: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["torus", "--shape", "free", "--matrix", "[[1,1],[0,1]]",
+         "--assert-hyperbolic"],
+        ["qm", "homog", *QM, "--word", "ab", "--kmax", "5"],
+        ["qm", "bavard", *QM, "--word", "ab", "--maxlen", "2"],
+        ["qm", "bavard", *QM, "--word", "ab", "--defect-upper", "2"],
+        ["qm", "defect", *QM, "--maxlen", "1"],
+    ])
+    def test_read_options_accepted(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_free_shape_reads_assert_hyperbolic(self, capsys):
+        rc, out = run(capsys, ["torus", "--shape", "free", "--matrix",
+                               "[[1,1],[0,1]]", "--assert-hyperbolic",
+                               "--json"])
+        assert rc == 0
+        assert json.loads(out)["dims"]["q_mod_ext"]["status"] == "equality"
+
+    @pytest.mark.parametrize("argv", [["defect"], ["bavard", "--word", "ab"]])
+    def test_maxlen_defaults_to_2(self, capsys, argv):
+        base = ["qm", argv[0], *self.QM, *argv[1:], "--json"]
+        assert run(capsys, base) == run(capsys, base + ["--maxlen", "2"])
+        if argv[0] == "defect":
+            assert json.loads(run(capsys, base)[1])["provenance"] \
+                == "enumerated to length 2"
 
 
 class TestRepeatedMain:

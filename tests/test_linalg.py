@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from invqm.linalg import (charpoly, det, exterior_square, identity,
-                          invariant_factors, is_symplectic, kernel_basis,
-                          mat_mul, mat_vec, pair_basis, rank, rref)
+from invqm.linalg import (charpoly, echelon, exterior_square, identity,
+                          invariant_factors, is_symplectic, is_unimodular,
+                          kernel_basis, mat_mul, mat_vec, pair_basis, rank,
+                          rref)
+from test_acceptance_helpers import random_unimodular
 
 
 def rand_mat_q(rng, m, n, max_num=6, max_den=4):
@@ -108,6 +110,12 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
+def sympy_det(sympy, M):
+    """Determinant oracle, exact on rational input."""
+    d = sympy.Matrix(M).det()
+    return Fraction(int(d.p), int(d.q))
+
+
 class TestSympyOracle:
     def test_invariant_factors(self, rng, sympy):
         from sympy.matrices.normalforms import invariant_factors as oracle
@@ -139,8 +147,36 @@ class TestSympyOracle:
             S = [row[:len(A)] + [Fraction(rng.randint(-3, 3), 2)
                                  for _ in range(len(A) - len(row))]
                  for row in A]
-            d = sympy.Matrix(S).det()
-            assert det(S) == Fraction(int(d.p), int(d.q))
+            # the last Bareiss pivot is the determinant, up to sign, of the
+            # rows scaled to integers
+            d = sympy_det(sympy, S)
+            rows, pivots = echelon(S)
+            assert (len(pivots) == len(S)) == (d != 0)
+            if d:
+                scale = math.prod(math.lcm(*(Fraction(x).denominator
+                                             for x in row)) for row in S)
+                assert abs(rows[-1][pivots[-1]]) == abs(d) * scale
+
+    def test_is_unimodular(self, rng, sympy):
+        # random, singular (a product through k < n) and unimodular draws
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            kind = rng.randrange(3)
+            if kind == 0:
+                A = rand_mat_z(rng, n, n, bound=rng.choice((1, 2, 5)))
+            elif kind == 1:
+                k = rng.randint(1, n - 1)
+                A = mat_mul(rand_mat_z(rng, n, k, bound=3),
+                            rand_mat_z(rng, k, n, bound=3))
+            else:
+                A = random_unimodular(rng, n, steps=3 * n)
+            d = abs(sympy_det(sympy, A))
+            seen.add(min(d, 2))
+            assert is_unimodular(A) == (d == 1)
+        assert seen == {0, 1, 2}
+        assert is_unimodular([]) and is_unimodular([[-1]])
+        assert not is_unimodular([[0]]) and not is_unimodular([[2]])
 
 
 class TestExteriorSquare:
@@ -157,11 +193,12 @@ class TestExteriorSquare:
             assert exterior_square(mat_mul(A, B)) == mat_mul(
                 exterior_square(A), exterior_square(B))
 
-    def test_det_power_law(self, rng):
+    def test_det_power_law(self, rng, sympy):
         # det of the induced map on pairs is det(A)^(n-1) for n = 3
         for _ in range(10):
             A = rand_mat_q(rng, 3, 3, max_num=3, max_den=2)
-            assert det(exterior_square(A)) == det(A) ** 2
+            assert sympy_det(sympy, exterior_square(A)) \
+                == sympy_det(sympy, A) ** 2
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_commutator_word, rand_word
 from invqm.linalg import pair_basis
 from invqm.magnus import (InvariantHom, NonzeroAbelianizationError, WedgeVec,
-                          abelianize, alpha_eval, doubled_class, hom_eval,
+                          abelianize, doubled_class, hom_eval,
                           quadratic_class, wedge_class)
 from invqm.words import (FreeWord, commutator, conjugate, generator,
                          parse_word)
@@ -126,19 +126,22 @@ class TestPairSumOracle:
 
 class TestAlphaEval:
     def test_duality_on_basis(self):
-        assert alpha_eval(1, 2, comm_of_gens(4, 1, 2)) == 1
-        assert alpha_eval(1, 2, comm_of_gens(4, 3, 4)) == 0
+        alpha = InvariantHom.alpha(4, 1, 2)
+        assert hom_eval(alpha, comm_of_gens(4, 1, 2)) == 1
+        assert hom_eval(alpha, comm_of_gens(4, 3, 4)) == 0
 
     def test_vanishes_on_mixed_commutators(self, rng):
         # [g, x] with x in the commutator subgroup has zero wedge class
         for _ in range(20):
             g = rand_word(rng, 2, 8)
             x = rand_commutator_word(rng, 2, 12)
-            assert alpha_eval(1, 2, commutator(g, x)) == 0
+            assert hom_eval(InvariantHom.alpha(2, 1, 2),
+                            commutator(g, x)) == 0
 
     def test_power_expansion(self):
         a, b = generator(2, 1), generator(2, 2)
-        assert alpha_eval(1, 2, commutator(a * a, b)) == 2
+        assert hom_eval(InvariantHom.alpha(2, 1, 2),
+                        commutator(a * a, b)) == 2
 
     def test_hom_eval_linear(self, rng):
         phi = Fraction(2) * InvariantHom.alpha(3, 1, 2) + \
@@ -150,4 +153,13 @@ class TestAlphaEval:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            alpha_eval(2, 1, comm_of_gens(2, 1, 2))
+            InvariantHom.alpha(2, 2, 1)
+
+    def test_operators_keep_the_functional_type(self):
+        phi = InvariantHom.alpha(3, 1, 2) + InvariantHom.alpha(3, 2, 3)
+        for value in (phi, Fraction(1, 2) * phi, 3 * phi,
+                      phi - InvariantHom.alpha(3, 1, 3)):
+            assert type(value) is InvariantHom
+        assert phi.coeffs == (1, 0, 1)
+        assert (2 * phi).pair(WedgeVec.basis_element(3, 2, 3)) == 2
+        assert type(2 * WedgeVec.basis_element(3, 1, 2)) is WedgeVec
