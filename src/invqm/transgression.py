@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import VecZ
 from .magnus import InvariantHom, abelianize, hom_eval
 from .words import FreeWord
 
@@ -83,12 +82,15 @@ def antisym_pairing(f: InvariantHom, g1: Sequence[int], g2: Sequence[int]
 
 
 def cup_class_matrix(f: InvariantHom) -> list[list[Fraction]]:
-    """Skew matrix of antisymmetrized pairings on standard basis vectors;
-    recovers the dual coefficients of f and certifies injectivity of the
-    transgression (a zero matrix forces f = 0)."""
+    """Skew matrix of antisymmetrized pairings on standard basis vectors.
+
+    By `antisym_pairing`, entry (i, j) is f([a_i, a_j]), and [a_i, a_j] has
+    wedge class e_i ^ e_j, so it is f_ij - f_ji over the pair basis (f_ij
+    read as 0 unless i < j): f's dual coefficients, read off in O(n^2) with
+    no section words.  A zero matrix forces f = 0, so the transgression is
+    injective."""
     n = f.rank
-    t = Transgressor(f)
-    basis: list[VecZ] = [[1 if j == i else 0 for j in range(n)]
-                         for i in range(n)]
-    return [[t(basis[i], basis[j]) - t(basis[j], basis[i]) for j in range(n)]
-            for i in range(n)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, c in f.pairs():
+        M[i - 1][j - 1], M[j - 1][i - 1] = c, -c
+    return M

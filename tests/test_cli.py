@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from invqm import cli
 from invqm.cli import CliError, main, rat_str
 from invqm.engine import PreconditionError
+from invqm.linalg import identity, mat_mul
 from invqm.words import UnknownGeneratorError, WordSyntaxError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,6 +112,26 @@ class TestTorus:
             assert main(["preset", "free_torus", "--matrix", matrix]) == 2
             err = capsys.readouterr().err
             assert f"entry {entry} at row 1, column 2" in err
+
+    def test_surface_genus_16_in_under_two_seconds(self, capsys):
+        # a product of 32 random symplectic transvections
+        # x -> x + w(v, x) v, w(x, y) = x^T J y, J = [[0, I], [-I, 0]]
+        g, rng = 16, random.Random(16)
+        A = identity(2 * g)
+        for _ in range(2 * g):
+            v = [rng.choice((-1, 0, 0, 1)) for _ in range(2 * g)]
+            vJ = [-v[j + g] if j < g else v[j - g] for j in range(2 * g)]
+            A = mat_mul(A, [[int(i == j) + v[i] * vJ[j]
+                             for j in range(2 * g)] for i in range(2 * g)])
+        start = time.perf_counter()
+        rc, out = run(capsys, ["torus", "--shape", "surface", "--genus", "16",
+                               "--matrix", json.dumps(A), "--json"])
+        assert time.perf_counter() - start < 2
+        assert rc == 0
+        obj = json.loads(out)
+        # chi_A is squarefree here: 16 pairs lambda, 1/lambda and no
+        # fixed vector of A
+        assert (obj["h2Gamma"], obj["h2G"]) == (16, 1)
 
     def test_non_square_preset_matrix_exit_2(self, capsys):
         assert main(["preset", "free_torus", "--matrix", "[[1,2]]"]) == 2
@@ -260,6 +282,17 @@ class TestTransgress:
                                "--cup-matrix", "--json"])
         assert rc == 0
         assert json.loads(out)["cup_matrix"] == [["0", "1"], ["-1", "0"]]
+
+    def test_cup_matrix_rank_100_in_under_a_second(self, capsys):
+        start = time.perf_counter()
+        rc, out = run(capsys, ["transgress", "--hom", "3,97", "--rank", "100",
+                               "--cup-matrix", "--json"])
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        M = json.loads(out)["cup_matrix"]
+        assert [(i, j, x) for i, row in enumerate(M)
+                for j, x in enumerate(row) if x != "0"] \
+            == [(2, 96, "1"), (96, 2, "-1")]
 
 
 class TestQm:

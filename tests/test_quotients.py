@@ -108,6 +108,11 @@ class TestSemidirect:
                 free_quotient(2, A)
 
 
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=250)
 
 
@@ -191,9 +196,80 @@ KINDS = ("unimodular", "symplectic", "product", "permutation", "jordan",
          "reciprocal pair")
 
 
+def trace_block(t):
+    """companion(x^2 - t x + 1): for |t| >= 3 two distinct real roots
+    lambda and 1/lambda, irrational, so distinct t share no root."""
+    return companion([1, -t, 1])
+
+
+# x^2 - x - 1 (roots phi, -1/phi) and its reciprocal x^2 + x - 1
+# (roots 1/phi, -phi): neither is closed under inversion; their product is.
+GOLDEN, GOLDEN_STAR = [1, -1, -1], [1, 1, -1]
+TRACES = (3, 4, 5, -3, -4)
+
+
+def squarefree_blocks(rng, traces):
+    """Blocks with simple roots closed under inversion, none of them +-1,
+    and perhaps a block whose roots have no inverse among the others."""
+    blocks = [trace_block(t) for t in rng.sample(traces, rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        blocks += [companion(GOLDEN), companion(GOLDEN_STAR)]
+    if rng.random() < 0.5:
+        blocks.append(companion([1, 0, -1, -1]))
+    return blocks
+
+
+def branch_draw(family, rng):
+    """A conjugated block-diagonal matrix and k = deg m2, the size of the
+    matrix h2_dim_semidirect hands to exterior_square (None: no call)."""
+    traces, k = list(TRACES), None
+    if family == "squarefree":
+        blocks = squarefree_blocks(rng, traces)
+    elif family == "squarefree, simple +-1":
+        blocks = squarefree_blocks(rng, traces) + rng.choice(
+            ([[[1]]], [[[-1]]], [[[1]], [[-1]]]))
+    elif family == "squarefree and repeated":
+        t = traces.pop(rng.randrange(len(traces)))
+        repeated = rng.choice((
+            [trace_block(t)] * 2,
+            [companion([1, -2 * t, t * t + 2, -2 * t, 1])],  # (x^2-tx+1)^2
+            [jordan(1, 2)], [[[-1]], [[-1]]]))
+        blocks = squarefree_blocks(rng, traces) + repeated
+        k = sum(map(len, repeated))
+    elif family == "unequal multiplicity":
+        # lambda twice, 1/lambda once: both go to m2
+        blocks = rng.choice(([companion([1, -2, -1, 2, 1])],  # GOLDEN^2
+                             [companion(GOLDEN)] * 2)) \
+            + [companion(GOLDEN_STAR)]
+        blocks += [trace_block(t) for t in traces[:rng.randint(0, 2)]]
+        k = 6
+    elif family == "doubled symplectic":
+        B = random_symplectic(rng, rng.randint(2, 3))
+        blocks, k = [B, B], 2 * len(B)
+    else:
+        assert family == "non-semisimple +-1"
+        jordans = [jordan(rng.choice((1, -1)), rng.randint(2, 3))
+                   for _ in range(rng.randint(1, 2))]
+        blocks = squarefree_blocks(rng, traces) + jordans
+        k = sum(map(len, jordans))
+    rng.shuffle(blocks)
+    return conjugated(rng, block_diag(*blocks)), k
+
+
+BRANCH_FAMILIES = ("squarefree", "squarefree, simple +-1",
+                   "squarefree and repeated", "unequal multiplicity",
+                   "doubled symplectic", "non-semisimple +-1")
+
+
+def derivative(p):
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
 class TestWedgeFixedSpace:
-    """h2_dim_semidirect eliminates only wedge^2 of A restricted to the
-    reciprocal part of chi_A; the full exterior square is the oracle."""
+    """h2_dim_semidirect counts the fixed vectors of wedge^2 A on the
+    squarefree factor m1 of the reciprocal part of chi_A and eliminates
+    only wedge^2 of A restricted to the rest, m2; the full exterior square
+    is the oracle."""
 
     @PROPERTY
     @given(st.sampled_from(KINDS), st.integers(0, 2 ** 32))
@@ -207,6 +283,50 @@ class TestWedgeFixedSpace:
     def test_reciprocal_pairs_beside_a_generic_block(self, seed):
         A = draw_matrix("reciprocal pair", random.Random(seed))
         assert h2_dim_semidirect(free_quotient(len(A), A)) == wedge_oracle(A)
+
+    @pytest.mark.parametrize("family", BRANCH_FAMILIES)
+    def test_branch_families(self, family, monkeypatch):
+        # squarefree m is counted (m2 = 1); otherwise only the m2 square is
+        # handed to exterior_square
+        squares = []
+        wedge = quotients.exterior_square
+
+        def recording(M):
+            squares.append(len(M))
+            return wedge(M)
+
+        monkeypatch.setattr(quotients, "exterior_square", recording)
+        for seed in range(40):
+            A, k = branch_draw(family, random.Random(seed))
+            squares.clear()
+            h2 = h2_dim_semidirect(free_quotient(len(A), A))
+            assert squares == ([] if k is None else [k])
+            assert h2 == wedge_oracle(A)
+
+    def test_squarefree_genus_9_counts_without_elimination(
+            self, monkeypatch):
+        A = random_symplectic(random.Random(9), 9, factors=8)
+        chi = charpoly(A)
+        assert quotients._poly_gcd(chi, derivative(chi)) == [1]
+        # a symplectic chi_A is its own reciprocal; squarefree, it has no
+        # root +-1 (their multiplicities are even), so 9 pairs and no fixed
+        # vector of A
+        assert wedge_oracle(A) == 9
+        rows, squares = [], []
+        echelon, wedge = linalg.echelon, quotients.exterior_square
+
+        def recording(M):
+            rows.append(len(M))
+            return echelon(M)
+
+        def recording_wedge(M):
+            squares.append(len(M))
+            return wedge(M)
+
+        monkeypatch.setattr(linalg, "echelon", recording)
+        monkeypatch.setattr(quotients, "exterior_square", recording_wedge)
+        assert h2_dim_semidirect(surface_quotient(9, A)) == 9
+        assert squares == [] and max(rows) <= 18
 
     def test_rank_one_and_two(self):
         for A in ([[1]], [[-1]]):
@@ -273,3 +393,61 @@ class TestWedgeFixedSpace:
                            for M in handed for row in M for x in row)
                 assert h2 == wedge_oracle(A)
         assert middle >= 20
+
+
+def random_monic(rng, d):
+    return [1] + [rng.randint(-3, 3) for _ in range(d)]
+
+
+class TestPolynomialHelpers:
+    """The integer gcd, exact division and factor peeling against sympy on
+    products of monic integer polynomials with repeated factors."""
+
+    @staticmethod
+    def product(rng, factors):
+        """A product of the factors, each to a random power 1 to 3."""
+        p = [1]
+        for f in factors:
+            for _ in range(rng.randint(1, 3)):
+                p = quotients._poly_mul(p, f)
+        return p
+
+    @staticmethod
+    def coeffs(sympy, expr):
+        return [int(c) for c in sympy.Poly(expr, sympy.Symbol("x"))
+                .all_coeffs()]
+
+    def test_gcd_and_exact_division(self, sympy):
+        x = sympy.Symbol("x")
+        rng = random.Random(88)
+        for _ in range(150):
+            shared = [random_monic(rng, rng.randint(1, 3))
+                      for _ in range(rng.randint(0, 2))]
+            a = self.product(rng, shared + [random_monic(rng, 2)])
+            others = (derivative(a),
+                      self.product(rng, shared + [random_monic(rng, 1)]))
+            for b in others:
+                g = quotients._poly_gcd(a, b)
+                want = sympy.gcd(sympy.Poly(a, x), sympy.Poly(b, x))
+                assert g == self.coeffs(sympy, want.monic())
+                assert all(type(c) is int for c in g)
+                q, r = sympy.div(sympy.Poly(a, x), sympy.Poly(g, x))
+                assert r.is_zero
+                assert quotients._quo(a, g) == self.coeffs(sympy, q)
+
+    def test_part_keeps_full_multiplicity(self, sympy):
+        x = sympy.Symbol("x")
+        rng = random.Random(89)
+        for _ in range(100):
+            factors = [random_monic(rng, rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 4))]
+            chi = self.product(rng, factors)
+            shared = rng.sample(factors, rng.randint(0, len(factors)))
+            h = self.product(rng, shared + [random_monic(rng, 2)])
+            part = quotients._part(chi, h)
+            want = sympy.Integer(1)
+            for p, e in sympy.factor_list(sympy.Poly(chi, x))[1]:
+                if sympy.gcd(p, sympy.Poly(h, x)).degree() > 0:
+                    want *= p.as_expr() ** e
+            assert part == self.coeffs(sympy, want)
+            assert part[0] == 1 and all(type(c) is int for c in part)

@@ -84,7 +84,23 @@ class TestTransgress:
             assert lhs == rhs
 
 
+def transgressor_cup_matrix(f):
+    """Oracle: the antisymmetrized transgressed cocycle on basis vectors,
+    through section words."""
+    t = Transgressor(f)
+    basis = [[int(j == i) for j in range(f.rank)] for i in range(f.rank)]
+    return [[t(u, v) - t(v, u) for v in basis] for u in basis]
+
+
 class TestCupClassMatrix:
+    def test_matches_the_transgressor_route(self, rng):
+        for n in range(2, 8):
+            for _ in range(5):
+                f = InvariantHom(n, tuple(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in pair_basis(n)))
+                assert cup_class_matrix(f) == transgressor_cup_matrix(f)
+
     def test_recovers_dual_coefficients(self):
         idx = {(i, j): k for k, (i, j) in enumerate(pair_basis(3))}
         for (i, j), k in idx.items():
