@@ -22,8 +22,8 @@ from .brooks import (BIG, LITTLE, CountingQM, DefectCertificate,
 from .engine import DimensionReport, PreconditionError
 from .magnus import InvariantHom, wedge_class
 from .quotients import free_quotient, surface_quotient
-from .words import (MAX_PARSED_LETTERS, FreeWord, Presentation,
-                    WordSyntaxError, parse_presentation, parse_word, render)
+from .words import (FreeWord, Presentation, WordSyntaxError,
+                    parse_presentation, parse_word, render)
 
 SCHEMA_VERSION = 1
 
@@ -335,11 +335,6 @@ def cmd_transgress(args) -> int:
                       for i, g in enumerate(entry, 1))
         except CliError as exc:
             raise CliError(f"pair {k}: {exc}") from exc
-        # the section words of g1, g2 and g1 + g2 are built letter by letter
-        letters = sum(map(abs, g1 + g2 + [a + b for a, b in zip(g1, g2)]))
-        if letters > MAX_PARSED_LETTERS:
-            raise CliError(f"pair {k}: section words of {letters} letters "
-                           f"exceed the limit of {MAX_PARSED_LETTERS}")
         results.append({"g1": g1, "g2": g2, "value": rat_str(t(g1, g2))})
     obj = {"schema_version": SCHEMA_VERSION, "values": results}
     emit(obj, args.json,

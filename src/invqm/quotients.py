@@ -13,6 +13,7 @@ sequences, and exact division by monic polynomials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import dropwhile
 from math import gcd
 
@@ -99,6 +100,12 @@ class SemidirectQuotient:
     def matrix(self) -> MatZ:
         return [list(row) for row in self.A]
 
+    @cached_property
+    def _fixed_dim(self) -> int:
+        """dim Ker(I - A) over Q, eliminated once for both H^2 dimensions."""
+        ident = linalg.identity(self.n)
+        return linalg.kernel_dim(linalg.mat_sub(ident, self.A))
+
 
 def surface_quotient(genus: int, A, hyperbolicity_asserted: bool = False
                      ) -> SemidirectQuotient:
@@ -110,12 +117,6 @@ def free_quotient(n: int, A, hyperbolicity_asserted: bool = False
                   ) -> SemidirectQuotient:
     return SemidirectQuotient(n, tuple(tuple(r) for r in A),
                               FREE, 0, hyperbolicity_asserted)
-
-
-def fixed_space_dim(A: MatZ) -> int:
-    """dim Ker(I - A) over Q."""
-    n = len(A)
-    return linalg.kernel_dim(linalg.mat_sub(linalg.identity(n), A))
 
 
 def _prem(a: VecZ, b: VecZ) -> VecZ:
@@ -208,7 +209,7 @@ def h2_dim_semidirect(q: SemidirectQuotient) -> int:
     m1 = _quo(m, m2)
     ends = sum(sum(c * x ** i for i, c in enumerate(reversed(m1))) == 0
                for x in (1, -1))
-    fixed = fixed_space_dim(A) + (len(m1) - 1 - ends) // 2
+    fixed = q._fixed_dim + (len(m1) - 1 - ends) // 2
     if len(m2) == 1:
         return fixed
     m2A = linalg.identity(len(A))
@@ -227,5 +228,4 @@ def h2_dim_semidirect(q: SemidirectQuotient) -> int:
 def h2_dim_total_space(q: SemidirectQuotient) -> int:
     """dim H^2 of the mapping-torus group upstairs: dim Ker(I - A) + 1 for
     the surface shape, dim Ker(I - A) for the free shape."""
-    k = fixed_space_dim(q.matrix())
-    return k + 1 if q.shape == SURFACE else k
+    return q._fixed_dim + (q.shape == SURFACE)

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from invqm import cli
+from invqm import cli, magnus, transgression
 from invqm.cli import CliError, main, rat_str
 from invqm.engine import PreconditionError
 from invqm.linalg import identity, mat_mul
-from invqm.words import UnknownGeneratorError, WordSyntaxError
+from invqm.words import FreeWord, UnknownGeneratorError, WordSyntaxError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +38,15 @@ GOLDEN_ARGS.update({
     "torus/free_shear": SHEAR,
     "torus/free_shear_atoroidal": SHEAR + ["--assert-atoroidal"],
 })
+# transgress --pairs at ranks 2 and 7 (repeated pairs, negative exponents),
+# and one cup matrix
+GOLDEN_ARGS.update({
+    f"transgress/rank{n}_hom{i}_{j}":
+        ["transgress", "--hom", f"{i},{j}", "--rank", str(n),
+         "--pairs", str(GOLDEN / "transgress" / f"rank{n}.pairs")]
+    for n, i, j in ((2, 1, 2), (7, 1, 2), (7, 2, 7), (7, 3, 6), (7, 5, 7))})
+GOLDEN_ARGS["transgress/cup_rank5_hom2_4"] = [
+    "transgress", "--hom", "2,4", "--rank", "5", "--cup-matrix"]
 
 
 def run(capsys, argv):
@@ -253,29 +262,33 @@ class TestTransgress:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
-    def test_section_words_beyond_the_letter_limit_exit_2(self, capsys,
-                                                          tmp_path):
+    def test_huge_exponents_exact_in_under_a_second(self, capsys, tmp_path):
+        # the cocycle is read off f's coefficients: no section word is built
         path = tmp_path / "pairs.json"
-        path.write_text("[[[1,0],[0,1]],[[100000000,0],[0,1]]]")
+        path.write_text("[[[1,0],[0,1]],[[100000000,0],[0,1]],"
+                        "[[0,100000000],[100000000,0]]]")
         start = time.perf_counter()
-        assert main(["transgress", "--hom", "1,2", "--rank", "2",
-                     "--pairs", str(path)]) == 2
+        rc, out = run(capsys, ["transgress", "--hom", "1,2", "--rank", "2",
+                               "--pairs", str(path), "--json"])
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr() == (
-            "", "invqm: pair 2: section words of 200000002 letters exceed "
-                "the limit of 1000000\n")
+        assert rc == 0
+        assert [r["value"] for r in json.loads(out)["values"]] \
+            == ["0", "0", "-10000000000000000"]
 
-    def test_letter_limit_boundary(self, capsys, tmp_path, monkeypatch):
-        # |g1| + |g2| + |g1 + g2| letters, the sum taken entrywise
-        monkeypatch.setattr(cli, "MAX_PARSED_LETTERS", 10)
-        path = tmp_path / "pairs.json"
-        for pairs, rc in (("[[[3,0],[2,0]]]", 0), ("[[[3,-1],[2,0]]]", 2),
-                          ("[[[3,1],[-3,1]]]", 0), ("[[[3,0],[3,0]]]", 2)):
-            path.write_text(pairs)
-            assert main(["transgress", "--hom", "1,2", "--rank", "2",
-                         "--pairs", str(path)]) == rc
-            assert ("exceed the limit of 10" in capsys.readouterr().err) \
-                == (rc == 2)
+    def test_pairs_build_no_word(self, capsys, monkeypatch):
+        def raising(*args):
+            raise AssertionError("word route reached")
+
+        for owner, name in ((transgression, "standard_section"),
+                            (transgression, "hom_eval"),
+                            (magnus, "doubled_class"),
+                            (FreeWord, "__mul__")):
+            monkeypatch.setattr(owner, name, raising)
+        pairs = GOLDEN / "transgress" / "rank7.pairs"
+        rc, out = run(capsys, ["transgress", "--hom", "3,6", "--rank", "7",
+                               "--pairs", str(pairs), "--json"])
+        assert rc == 0
+        assert out == (GOLDEN / "transgress" / "rank7_hom3_6.json").read_text()
 
     def test_cup_matrix(self, capsys):
         rc, out = run(capsys, ["transgress", "--hom", "1,2", "--rank", "2",

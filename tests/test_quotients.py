@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invqm import linalg, quotients
+from invqm.cli import main
 from invqm.engine import (circle_bundle_group, free_group, surface_group)
 from invqm.linalg import (charpoly, exterior_square, identity, kernel_dim,
                           mat_mul, mat_sub)
@@ -393,6 +395,42 @@ class TestWedgeFixedSpace:
                            for M in handed for row in M for x in row)
                 assert h2 == wedge_oracle(A)
         assert middle >= 20
+
+    def test_each_torus_run_eliminates_i_minus_a_once(self, monkeypatch,
+                                                      capsys):
+        # both H^2 dimensions read dim Ker(I - A): one n x n rank, plus the
+        # C(k, 2) rank of the m2 square when m2 != 1
+        ranks, squares = [], []
+        rank, wedge = linalg.rank, quotients.exterior_square
+
+        def recording(M):
+            ranks.append(len(M))
+            return rank(M)
+
+        def recording_wedge(M):
+            squares.append(len(M))
+            return wedge(M)
+
+        monkeypatch.setattr(linalg, "rank", recording)
+        monkeypatch.setattr(quotients, "exterior_square", recording_wedge)
+        runs = [(2 * l, ["preset", "torelli_torus", "--genus", str(l)])
+                for l in (2, 3)]
+        runs.append((2, ["preset", "free_torus", "--matrix", "[[0,1],[1,1]]"]))
+        for l in (2, 3, 4):
+            A = random_symplectic(random.Random(l), l)
+            runs.append((2 * l, ["torus", "--shape", "surface", "--genus",
+                                 str(l), "--matrix", json.dumps(A)]))
+        for family in BRANCH_FAMILIES:
+            for seed in range(5):
+                A, _ = branch_draw(family, random.Random(seed))
+                runs.append((len(A), ["torus", "--shape", "free",
+                                      "--matrix", json.dumps(A), "--json"]))
+        for n, argv in runs:
+            ranks.clear()
+            squares.clear()
+            assert main(argv) == 0
+            assert ranks == [n] + [k * (k - 1) // 2 for k in squares]
+        capsys.readouterr()
 
 
 def random_monic(rng, d):

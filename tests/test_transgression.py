@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from invqm.linalg import pair_basis
 from invqm.magnus import InvariantHom, hom_eval
 from invqm.transgression import (Transgressor, antisym_pairing,
@@ -18,6 +22,14 @@ def commutator_pairing(f, g1, g2):
     return hom_eval(f, commutator(s1, s2))
 
 
+def word_transgress(f, g1, g2):
+    """Oracle: the cocycle through section words,
+    f(s(g1) s(g2) s(g1 + g2)^-1)."""
+    s = standard_section
+    s12 = s(f.rank, [a + b for a, b in zip(g1, g2)])
+    return hom_eval(f, s(f.rank, g1) * s(f.rank, g2) * s12.inverse())
+
+
 def rand_vec(rng, n, bound=4):
     return [rng.randint(-bound, bound) for _ in range(n)]
 
@@ -32,7 +44,45 @@ class TestSection:
         assert s(2, (3, 0)) * s(2, (-1, 0)) == s(2, (2, 0))
 
 
+@st.composite
+def functional_and_pair(draw):
+    n = draw(st.integers(1, 7))
+    f = InvariantHom(n, tuple(
+        Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        for _ in pair_basis(n)))
+    vec = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    return f, draw(vec), draw(vec)
+
+
 class TestTransgress:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(functional_and_pair())
+    def test_matches_the_section_words(self, drawn):
+        f, g1, g2 = drawn
+        want = word_transgress(f, g1, g2)
+        assert transgress(f, g1, g2) == want
+        assert Transgressor(f)(g1, g2) == want
+
+    def test_refuses_a_vector_of_the_wrong_length(self):
+        f = InvariantHom.alpha(3, 1, 2)
+        for g1, g2 in (((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0, 0))):
+            with pytest.raises(ValueError, match="need 3 exponents"):
+                transgress(f, g1, g2)
+            with pytest.raises(ValueError, match="need 3 exponents"):
+                Transgressor(f)(g1, g2)
+
+    def test_refuses_a_non_integer_entry(self):
+        # refused, as by standard_section, not turned into a float result
+        f = InvariantHom.alpha(2, 1, 2)
+        for g1, g2 in (((0, 1.0), (1, 0)), ((0, 1), (Fraction(1), 0)),
+                       ((0, 1), (1.5, 0))):
+            with pytest.raises(TypeError):
+                transgress(f, g1, g2)
+            t = Transgressor(f)
+            with pytest.raises(TypeError):
+                t(g1, g2)
+            assert t._memo == {}
+
     def test_rank2_values(self):
         f = InvariantHom.alpha(2, 1, 2)
         assert transgress(f, (1, 0), (0, 1)) == 0
@@ -87,9 +137,9 @@ class TestTransgress:
 def transgressor_cup_matrix(f):
     """Oracle: the antisymmetrized transgressed cocycle on basis vectors,
     through section words."""
-    t = Transgressor(f)
     basis = [[int(j == i) for j in range(f.rank)] for i in range(f.rank)]
-    return [[t(u, v) - t(v, u) for v in basis] for u in basis]
+    return [[word_transgress(f, u, v) - word_transgress(f, v, u)
+             for v in basis] for u in basis]
 
 
 class TestCupClassMatrix:
