@@ -6,8 +6,7 @@ from .brooks import (CountingQM, DefectCertificate, bavard_lower_bound,
                      defect_lower_bound, homogenize_eval, qm_eval)
 from .engine import (DimensionReport, analyze_free_by_cyclic,
                      analyze_mapping_torus, analyze_presentation, preset)
-from .invhoms import (constraint_space, evaluate_on_quotient, inv_hom_basis,
-                      inv_hom_dim)
+from .invhoms import constraint_space, evaluate_on_quotient, inv_hom_dim
 from .magnus import (InvariantHom, WedgeVec, abelianize, doubled_class,
                      hom_eval, wedge_class)
 from .quotients import (AbelianQuotient, SemidirectQuotient, abelian_quotient,

@@ -260,16 +260,15 @@ def cmd_torus(args) -> int:
 def cmd_invhoms(args) -> int:
     P = load_presentation(args.presentation)
     W = invhoms.constraint_space(P)
-    basis = invhoms.inv_hom_basis(W)
     obj = {
         "schema_version": SCHEMA_VERSION,
-        "dim": len(basis),
+        "dim": len(W.homs),
         "basis": [[[i, j, rat_str(c)] for i, j, c in phi.pairs() if c != 0]
-                  for phi in basis],
+                  for phi in W.homs],
         "constraints": [[[i, j, rat_str(c)] for i, j, c in v.pairs()
                          if c != 0] for v in W.basis],
     }
-    lines = [f"dim H1(N)^G = {len(basis)}",
+    lines = [f"dim H1(N)^G = {len(W.homs)}",
              f"dim constraint space = {W.dim}"]
     emit(obj, args.json, lines)
     return 0

@@ -2,31 +2,29 @@
 
 For G = F_n / <<r_1, ..., r_m>> and N = [G, G], every G-invariant
 homomorphism on N pulls back to a functional on the wedge square of Q^n
-that annihilates a constraint space W assembled from the relators:
-
-  * e_j ∧ ab(r_i) for every generator j and relator r_i.  These come from
-    conjugation: g r g^-1 r^-1 represents the identity of G, and its wedge
-    class is ab(g) ∧ ab(r).
-  * the quadratic class of any integer combination of relators with
-    vanishing total abelianization.  Cross terms between relator factors in
-    an actual product word are of the form mu ∧ ab(r_i), so they already lie
-    in the first span; taking the linear combination of per-relator
-    quadratic classes is therefore equivalent modulo that span.
-
-dim H^1(N)^G is C(n, 2) minus the Bareiss rank of these rows; the RREF of W
-and the annihilator basis are built only for the `invhoms` report.
+that annihilates a constraint space W: the wedges e_j ∧ ab(r_i) (the class
+of [a_j, r_i], which represents the identity), and the quadratic classes
+of the relator combinations with zero abelianization.  The wedges span
+Q^n ∧ M, M = span ab(r_i): the kernel of ∧²K for any K: Q^n -> Q^f with
+kernel M, f = n - rank R.  So the functionals are (∧²K)^T psi with psi
+annihilating the projected classes 2 ∧²K q(c), and dim H^1(N)^G is
+C(f, 2) = dim H^2(G/[G, G]) minus their rank, as in the five-term exact
+sequence 0 -> H^1(N)^G -> H^2(Γ) -> H^2(G): an m × (n + C(f, 2)) Bareiss
+elimination, not one over all of ∧²Q^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
+from operator import add
 
-from .linalg import (VecZ, echelon, invariant_factors, kernel_basis,
-                     pair_basis, rank, rref)
-from .magnus import (InvariantHom, WedgeVec, abelianize, doubled_class,
-                     quadratic_class)
+from .linalg import (MatZ, VecZ, annihilator, echelon, identity,
+                     invariant_factors, pair_basis, primitive, rref,
+                     rref_kernel)
+from .magnus import InvariantHom, WedgeVec, abelianize, quadratic_class
 from .quotients import relator_abelianization_matrix
 from .words import FreeWord, Presentation
 
@@ -37,59 +35,85 @@ class NotInCommutatorSubgroupError(ValueError):
 
 @dataclass(frozen=True)
 class ConstraintSpace:
-    """Subspace W of the wedge square that invariant homomorphisms must
-    annihilate; basis rows are linearly independent."""
+    """W as its RREF rows (content 1), and the invariant homomorphisms as
+    the RREF rows of its annihilator."""
 
     rank: int
     basis: tuple[WedgeVec, ...]
+    homs: tuple[InvariantHom, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def _constraint_rows(P: Presentation) -> list[VecZ]:
-    """Integer rows over the pair basis spanning W, none from a relator of
-    zero abelianization.  Entry (i, k) of e_j ∧ mu is d_ij mu_k - d_kj mu_i.
-    Quadratic classes enter doubled, which makes them integral, and the
-    relator combinations are taken over Q: Bareiss elimination of the rows
-    [ab(r) | 2q(r)] leaves, past the first n pivot columns, rows [0 | 2q]
-    that span the combinations with zero abelianization."""
+def _projected_classes(P: Presentation, K: MatZ) -> list[VecZ]:
+    """2 ∧²K q(r) for each relator r over the pair basis of Q^f: the sum of
+    the running projected abelianization wedged with each letter's signed
+    column of K.  S[b][a] accumulates running[a] k[b]."""
+    f = len(K)
+    column = {s * g: [s * row[g - 1] for row in K]
+              for g in range(1, P.rank + 1) for s in (1, -1)}
+    pairs = [(i - 1, j - 1) for i, j in pair_basis(f)]
+    classes = []
+    for r in P.relators:
+        running = [0] * f
+        S = [[0] * f for _ in range(f)]
+        for x in r.letters:
+            for b, c in enumerate(column[x]):
+                if c:
+                    S[b] = [s + c * t for s, t in zip(S[b], running)]
+            running = list(map(add, running, column[x]))
+        classes.append([S[j][i] - S[i][j] for i, j in pairs])
+    return classes
+
+
+def quotient_projection(P: Presentation,
+                        reduced: bool = False) -> tuple[MatZ, MatZ]:
+    """(K, Z): K is the f = n - rank R rows (content 1) past column m of
+    one elimination of [R^T | I_n], an integer map Q^n -> Q^f with kernel M
+    (in RREF if `reduced`).  Z is independent rows spanning the projected
+    classes of the combinations with zero abelianization: eliminating the
+    rows [ab(r) | 2 ∧²K q(r)] leaves them past the first n pivot columns."""
     n = P.rank
     R = relator_abelianization_matrix(P)
-    rows = [[(i == j) * mu[k - 1] - (k == j) * mu[i - 1]
-             for i, k in pair_basis(n)]
-            for mu in filter(any, R) for j in range(1, n + 1)]
+    m = len(R)
+    rows, pivots = (rref if reduced else echelon)(
+        [[mu[j] for mu in R] + e for j, e in enumerate(identity(n))])
+    K = [primitive(row[m:]) for row, p in zip(rows, pivots) if p >= m]
     lifted, pivots = echelon(
-        [mu + doubled_class(r) for mu, r in zip(R, P.relators)])
-    return rows + [row[n:] for row, p in zip(lifted, pivots) if p >= n]
-
-
-def constraint_space(P: Presentation) -> ConstraintSpace:
-    """W reduced to the rows of its RREF (content 1)."""
-    W, _ = rref(_constraint_rows(P))
-    return ConstraintSpace(P.rank, tuple(
-        WedgeVec(P.rank, tuple(Fraction(x) for x in row)) for row in W))
+        [mu + c for mu, c in zip(R, _projected_classes(P, K))])
+    return K, [row[n:] for row, p in zip(lifted, pivots) if p >= n]
 
 
 def inv_hom_dim(P: Presentation) -> int:
-    """dim H^1(N)^G = C(n, 2) - dim W."""
-    n = P.rank
-    return n * (n - 1) // 2 - rank(_constraint_rows(P))
+    """dim H^1(N)^G = C(f, 2) - rank Z."""
+    K, Z = quotient_projection(P)
+    return len(K) * (len(K) - 1) // 2 - len(Z)
 
 
-def inv_hom_basis(W: ConstraintSpace) -> tuple[InvariantHom, ...]:
-    """The annihilator's RREF rows (content 1, positive pivot) over the pair
-    basis: W's kernel vectors with columns reversed, each nonzero only at its
-    free column and pivots before it, mapped back and taken last first."""
-    n = W.rank
-    rows = [v.coeffs[::-1] for v in W.basis] or [[0] * (n * (n - 1) // 2)]
-    basis = []
-    for v in reversed(kernel_basis(rows)):
-        v = v[::-1]
-        sign = 1 if next(filter(None, v)) > 0 else -1
-        basis.append(InvariantHom(n, tuple(Fraction(sign * x) for x in v)))
-    return tuple(basis)
+def constraint_space(P: Presentation) -> ConstraintSpace:
+    """The homomorphisms (∧²K)^T psi, psi over the annihilator RREF of Z, are
+    already in RREF once made content 1: with K in RREF, K_a ∧ K_b has pivot
+    (p_a, p_b) and 0 at the other pivot pairs.  W is eliminated from their
+    kernel, which is read off with no elimination."""
+    n, N = P.rank, P.rank * (P.rank - 1) // 2
+    K, Z = quotient_projection(P, reduced=True)
+    f = len(K)
+    wedges = [[Ka[i - 1] * Kb[j - 1] - Ka[j - 1] * Kb[i - 1]
+               for i, j in pair_basis(n)] for Ka, Kb in combinations(K, 2)]
+    homs = []
+    for psi in annihilator(f * (f - 1) // 2, Z):
+        phi = [0] * N
+        for c, v in zip(psi, wedges):
+            if c:
+                phi = [x + c * y for x, y in zip(phi, v)]
+        homs.append(primitive(phi))
+    W, _ = rref(rref_kernel(
+        homs, [next(i for i, x in enumerate(phi) if x) for phi in homs], N))
+    return ConstraintSpace(
+        n, tuple(WedgeVec(n, tuple(map(Fraction, row))) for row in W),
+        tuple(InvariantHom(n, tuple(map(Fraction, row))) for row in homs))
 
 
 def _commutator_lattice_coords(P: Presentation,

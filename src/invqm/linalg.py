@@ -44,7 +44,7 @@ def _integerize_rows(A: Sequence[Sequence]) -> MatZ:
     out = []
     for row in filter(any, A):
         # integer rows, the common case, skip the costly Fraction round trip
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) == {int}:
             out.append(list(row))
             continue
         row = [Fraction(x) for x in row]
@@ -53,7 +53,7 @@ def _integerize_rows(A: Sequence[Sequence]) -> MatZ:
     return out
 
 
-def _primitive(v: VecZ) -> VecZ:
+def primitive(v: VecZ) -> VecZ:
     """Divide by the content and make the leading nonzero entry positive."""
     g = gcd(*v)
     if next((x for x in v if x), 0) < 0:
@@ -88,7 +88,9 @@ def echelon(A: Sequence[Sequence]) -> tuple[MatZ, list[int]]:
         p = top[c]
         for i in range(r + 1, m):
             a = A[i][c]
-            A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
+            # a row with 0 in the pivot column is unchanged when p == prev
+            if a or p != prev:
+                A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
         prev = p
         pivots.append(c)
     return A[:len(pivots)], pivots
@@ -119,7 +121,7 @@ def rref(M: Sequence[Sequence]) -> tuple[MatZ, list[int]]:
                     acc = [a - f * y for a, y in zip(acc, rows[j])]
             e = row[pivots[k]]
             rows[k] = [a // e for a in acc]
-    return [_primitive(row) for row in rows], pivots
+    return [primitive(row) for row in rows], pivots
 
 
 def kernel_basis(M: Sequence[Sequence]) -> list[VecZ]:
@@ -129,8 +131,11 @@ def kernel_basis(M: Sequence[Sequence]) -> list[VecZ]:
     Free variables are taken in increasing column order, so the output is
     deterministic.
     """
-    n = len(M[0]) if M else 0
-    R, pivots = rref(M)
+    return rref_kernel(*rref(M), len(M[0]) if M else 0)
+
+
+def rref_kernel(R: MatZ, pivots: list[int], n: int) -> list[VecZ]:
+    """`kernel_basis` of n columns read off RREF rows with any pivots."""
     scale = lcm(*(row[p] for row, p in zip(R, pivots)))
     basis = []
     for fc in sorted(set(range(n)) - set(pivots)):
@@ -138,8 +143,16 @@ def kernel_basis(M: Sequence[Sequence]) -> list[VecZ]:
         v[fc] = scale
         for row, pc in zip(R, pivots):
             v[pc] = -row[fc] * (scale // row[pc])
-        basis.append(_primitive(v))
+        basis.append(primitive(v))
     return basis
+
+
+def annihilator(n: int, rows: Sequence[VecZ]) -> list[VecZ]:
+    """RREF (content 1) of the annihilator of the rows in Q^n: the kernel of
+    the column-reversed rows (one free column and pivots before it per
+    vector), mapped back and taken last first."""
+    reversed_rows = [row[::-1] for row in rows] or [[0] * n]
+    return [primitive(v[::-1]) for v in reversed(kernel_basis(reversed_rows))]
 
 
 def kernel_dim(M: Sequence[Sequence]) -> int:

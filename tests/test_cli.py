@@ -1,5 +1,7 @@
 import json
 import random
+import runpy
+import sys
 import time
 from pathlib import Path
 
@@ -28,13 +30,17 @@ GOLDEN_ARGS = {
 # read by the benchmark's oracle tests, which expect exactly those files.
 GOLDEN_ARGS.update({
     f"invhoms/{name}": ["invhoms", str(GOLDEN / "invhoms" / f"{name}.grp")]
-    for name in ("surface_l2", "circle_bundle_l2_n3", "torsion_mixed")})
-# status branches: both dimensions upper bounds with a note each (analyze),
-# and one note for both bounds versus an asserted equality (torus)
+    for name in ("surface_l2", "circle_bundle_l2_n3", "torsion_mixed",
+                 "circle_bundle_l4_n3", "rank12_torsion_mixed")})
+# status branches: both dimensions upper bounds with a note each (analyze,
+# the rank-12 one reading the presentation file of the invhoms golden), and
+# one note for both bounds versus an asserted equality (torus)
 SHEAR = ["torus", "--shape", "free", "--matrix", "[[1,1],[0,1]]"]
 GOLDEN_ARGS.update({
     "analyze/rank3_commutator_square":
         ["analyze", str(GOLDEN / "analyze" / "rank3_commutator_square.grp")],
+    "analyze/rank12_torsion_mixed":
+        ["analyze", str(GOLDEN / "invhoms" / "rank12_torsion_mixed.grp")],
     "torus/free_shear": SHEAR,
     "torus/free_shear_atoroidal": SHEAR + ["--assert-atoroidal"],
 })
@@ -61,6 +67,14 @@ class TestGolden:
         rc, out = run(capsys, GOLDEN_ARGS[name] + ["--json"])
         assert rc == 0
         assert out == (GOLDEN / f"{name}.json").read_text()
+
+    def test_python_dash_m_runs_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv",
+                            ["invqm", "preset", "free", "--rank", "3", "--json"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("invqm", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / "free_n3.json").read_text()
 
     def test_byte_determinism(self, capsys):
         argv = GOLDEN_ARGS["surface_l2"] + ["--json"]

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -10,13 +11,14 @@ from invqm.engine import (EQUALITY, UPPER_BOUND, DimensionReport,
                           analyze_mapping_torus, analyze_presentation,
                           circle_bundle_group, free_group, preset,
                           surface_group)
-from invqm.invhoms import constraint_space, inv_hom_basis, inv_hom_dim
+from invqm.invhoms import constraint_space, inv_hom_dim
 from invqm.linalg import (identity, kernel_basis, kernel_dim, mat_mul,
                           mat_sub, rank)
 from invqm.magnus import abelianize, doubled_class
 from invqm.quotients import (abelian_quotient, free_quotient, h2_dim,
                              surface_quotient)
 from invqm.words import FreeWord, Presentation, commutator, generator
+from conftest import rand_commutator_word, rand_word
 from test_acceptance_helpers import integer_inverse, random_symplectic
 
 
@@ -160,11 +162,11 @@ class TestPresetValidation:
 
 
 @st.composite
-def presentations(draw):
-    """Ranks 1 to 8 with 0 to n + 2 relators: reduced words, torsion
+def presentations(draw, max_rank=8):
+    """Ranks 1 to max_rank with 0 to n + 2 relators: reduced words, torsion
     relators a_i^k, products of conjugated commutators (zero
     abelianization) and the empty word."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_rank))
     gens = st.integers(1, n)
     letters = st.lists(st.sampled_from(
         [s * g for g in range(1, n + 1) for s in (1, -1)]), max_size=10)
@@ -202,7 +204,7 @@ class TestRankPath:
         assert report.dim_h2_Gamma == h2_dim(abelian_quotient(P))
         W = constraint_space(P)
         assert report.dim_h1NG == n * (n - 1) // 2 - W.dim
-        assert len(inv_hom_basis(W)) == inv_hom_dim(P)
+        assert len(W.homs) == inv_hom_dim(P)
         # W from words and a left kernel: 2 e_j ∧ ab(r) is the doubled class
         # of [a_j, r], and combinations come from the kernel of R^T
         conj = [doubled_class(commutator(generator(n, j), r))
@@ -212,6 +214,31 @@ class TestRankPath:
         combos = [[sum(c * x for c, x in zip(k, col)) for col in zip(*doubled)]
                   for k in kernel_basis([list(col) for col in zip(*R)])]
         assert W.dim == rank(conj + combos)
+
+    def test_analyze_eliminates_no_more_than_max_n_m_rows(self,
+                                                          monkeypatch):
+        """analyze hands the Bareiss core [R^T | I] (n rows) and the
+        projected relator rows (m rows), never constraint rows over the
+        whole wedge square (n rows per relator of nonzero abelianization)."""
+        shapes = []
+        original = linalg.echelon
+
+        def record(A):
+            shapes.append(len(A))
+            return original(A)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("invqm")
+                    and getattr(module, "echelon", None) is original):
+                monkeypatch.setattr(module, "echelon", record)
+        rng = random.Random(12)
+        mixed = Presentation(12, tuple(f"x{i}" for i in range(1, 13)), tuple(
+            rand_commutator_word(rng, 12, 12) if k % 3 == 0
+            else rand_word(rng, 12, 12) for k in range(7)))
+        for P in (circle_bundle_group(16, -2), mixed):
+            shapes.clear()
+            analyze_presentation(P)
+            assert shapes
+            assert max(shapes) <= max(P.rank, len(P.relators))
 
     def test_analyze_uses_neither_snf_nor_rref(self, monkeypatch):
         def refuse(*args):

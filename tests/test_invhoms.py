@@ -9,14 +9,36 @@ from conftest import rand_commutator_word, rand_word
 from invqm.engine import (circle_bundle_group, free_group,
                           one_relator_power_group, remark_group,
                           surface_group)
-from invqm.invhoms import (ConstraintSpace, NotInCommutatorSubgroupError,
-                           constraint_space, evaluate_on_quotient,
-                           inv_hom_basis, inv_hom_dim)
-from invqm.linalg import identity, kernel_basis, rref
-from invqm.magnus import InvariantHom, WedgeVec, hom_eval
+from invqm.invhoms import (NotInCommutatorSubgroupError, constraint_space,
+                           evaluate_on_quotient, inv_hom_dim)
+from invqm.linalg import (VecZ, annihilator, echelon, identity, kernel_basis,
+                          pair_basis, rank, rref)
+from invqm.magnus import InvariantHom, WedgeVec, doubled_class, hom_eval
+from invqm.quotients import relator_abelianization_matrix
 from invqm.words import (FreeWord, Presentation, commutator, conjugate,
                          generator, parse_presentation, parse_word)
 from test_engine import presentations
+
+
+def homs(n, rows):
+    return tuple(InvariantHom(n, tuple(map(Fraction, row))) for row in rows)
+
+
+def constraint_rows(P: Presentation) -> list[VecZ]:
+    """Rows spanning W over all of the wedge square of Q^n, the oracle for
+    the projection to Q^f: e_j ∧ ab(r) for each relator of nonzero
+    abelianization, entry (i, k) d_ij mu_k - d_kj mu_i, and the doubled
+    classes of the relator combinations with zero abelianization, taken
+    over Q: Bareiss elimination of the rows [ab(r) | 2q(r)] leaves them
+    past the first n pivot columns."""
+    n = P.rank
+    R = relator_abelianization_matrix(P)
+    rows = [[(i == j) * mu[k - 1] - (k == j) * mu[i - 1]
+             for i, k in pair_basis(n)]
+            for mu in filter(any, R) for j in range(1, n + 1)]
+    lifted, pivots = echelon(
+        [mu + doubled_class(r) for mu, r in zip(R, P.relators)])
+    return rows + [row[n:] for row, p in zip(lifted, pivots) if p >= n]
 
 
 def surface_class(l):
@@ -47,6 +69,23 @@ class TestConstraintSpace:
             "gens: a, b, c\nrel: [[a,b],c]\nrel: [[b,c],a]\n")
         assert constraint_space(P).dim == 0
         assert inv_hom_dim(P) == 3
+
+
+class TestFiveTermRoute:
+    """The projection to Q^f against the constraint rows over all of
+    ∧²Q^n: the dimension, W's RREF and the annihilator's RREF."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(presentations(max_rank=9))
+    def test_matches_the_constraint_rows(self, P):
+        n = P.rank
+        rows = constraint_rows(P)
+        assert inv_hom_dim(P) == n * (n - 1) // 2 - rank(rows)
+        W = constraint_space(P)
+        assert [list(v.coeffs) for v in W.basis] == rref(rows)[0]
+        R, _ = rref(kernel_basis(rows) if rows
+                    else identity(n * (n - 1) // 2))
+        assert W.homs == homs(n, R)
 
 
 class TestDimensions:
@@ -82,7 +121,7 @@ class TestDimensions:
 
 class TestBasis:
     def test_free_group_basis_is_alpha(self):
-        basis = inv_hom_basis(constraint_space(free_group(3)))
+        basis = constraint_space(free_group(3)).homs
         assert len(basis) == 3
         expected = [InvariantHom.alpha(3, 1, 2), InvariantHom.alpha(3, 1, 3),
                     InvariantHom.alpha(3, 2, 3)]
@@ -92,26 +131,27 @@ class TestBasis:
         for P in (surface_group(2), circle_bundle_group(2, 3),
                   one_relator_power_group(3, 2)):
             W = constraint_space(P)
-            basis = inv_hom_basis(W)
+            basis = W.homs
             assert len(basis) == inv_hom_dim(P)
             for phi in basis:
                 for b in W.basis:
                     assert phi.pair(b) == 0
 
     @staticmethod
-    def rref_of_kernel(W):
+    def rref_of_kernel(n, rows):
         """The annihilator's RREF by eliminating its kernel basis again."""
-        n = W.rank
-        rows = [v.coeffs for v in W.basis]
         R, _ = rref(kernel_basis(rows) if rows else identity(n * (n - 1) // 2))
-        return tuple(InvariantHom(n, tuple(Fraction(x) for x in row))
-                     for row in R)
+        return homs(n, R)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(presentations())
     def test_matches_second_elimination_on_presentations(self, P):
+        n = P.rank
         W = constraint_space(P)
-        assert inv_hom_basis(W) == self.rref_of_kernel(W)
+        rows = [v.coeffs for v in W.basis]
+        assert homs(n, annihilator(n * (n - 1) // 2, rows)) == \
+            self.rref_of_kernel(n, rows)
+        assert W.homs == self.rref_of_kernel(n, rows)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -119,14 +159,13 @@ class TestBasis:
                  max_size=n * (n - 1) // 2), max_size=n * (n - 1) // 2))))
     def test_matches_second_elimination_on_any_rref(self, n_rows):
         n, rows = n_rows
-        W = ConstraintSpace(n, tuple(
-            WedgeVec(n, tuple(Fraction(x) for x in row))
-            for row in rref(rows)[0]))
-        assert inv_hom_basis(W) == self.rref_of_kernel(W)
+        rows = rref(rows)[0]
+        assert homs(n, annihilator(n * (n - 1) // 2, rows)) == \
+            self.rref_of_kernel(n, rows)
 
     def test_basis_independent(self):
         from invqm.linalg import rank
-        basis = inv_hom_basis(constraint_space(surface_group(2)))
+        basis = constraint_space(surface_group(2)).homs
         rows = [[c for c in phi.coeffs] for phi in basis]
         assert rank(rows) == len(basis)
 
@@ -141,13 +180,13 @@ class TestEvaluateOnQuotient:
 
     def test_surface_relator_evaluates_to_zero(self):
         P = surface_group(2)
-        for phi in inv_hom_basis(constraint_space(P)):
+        for phi in constraint_space(P).homs:
             assert evaluate_on_quotient(phi, P.relators[0], P) == 0
 
     def test_well_defined_under_relator_multiplication(self, rng):
         for P in (surface_group(2), one_relator_power_group(2, 2),
                   circle_bundle_group(2, 2)):
-            basis = inv_hom_basis(constraint_space(P))
+            basis = constraint_space(P).homs
             for _ in range(34):
                 w = rand_commutator_word(rng, P.rank, 16)
                 g = rand_word(rng, P.rank, 6)
@@ -160,7 +199,7 @@ class TestEvaluateOnQuotient:
 
     def test_rejects_words_outside_commutator_subgroup(self):
         P = surface_group(2)
-        phi = inv_hom_basis(constraint_space(P))[0]
+        phi = constraint_space(P).homs[0]
         with pytest.raises(NotInCommutatorSubgroupError):
             evaluate_on_quotient(phi, generator(4, 1), P)
 
@@ -182,6 +221,6 @@ class TestEvaluateOnQuotient:
         # abelianization is nonzero
         P = circle_bundle_group(2, 3)
         fiber = generator(5, 5)
-        phi = inv_hom_basis(constraint_space(P))[0]
+        phi = constraint_space(P).homs[0]
         value = evaluate_on_quotient(phi, fiber ** -3, P)
         assert isinstance(value, Fraction)
